@@ -29,7 +29,7 @@ import platform
 import sys
 import time
 
-from repro.sim.engine import ENGINE_KINDS, Engine, make_engine
+from repro.sim.engine import Engine, HeapqEngine
 from repro.sim.rng import DeterministicRng
 
 CPU_EDGE_PS = 500  # 2 GHz core clock
@@ -96,9 +96,9 @@ class _Chain:
             engine.post_at((engine.now - delay) // GRID_PS * GRID_PS, self.step)
 
 
-def drive(kind: str, delays: list[int], chains: int = CHAINS) -> dict:
+def drive(engine_class: type, delays: list[int], chains: int = CHAINS) -> dict:
     """Run the schedule to completion on one engine; return a result row."""
-    engine = make_engine(kind)
+    engine = engine_class()
     n = len(delays)
     per_chain = n // chains
     chain_objs = []
@@ -114,7 +114,7 @@ def drive(kind: str, delays: list[int], chains: int = CHAINS) -> dict:
     # Every chain seeds one step outside run(); count them in.
     executed += chains
     return {
-        "kind": kind,
+        "kind": engine.kind,
         "events": executed,
         "elapsed_s": round(elapsed, 6),
         "events_per_sec": round(executed / elapsed, 1),
@@ -124,7 +124,10 @@ def drive(kind: str, delays: list[int], chains: int = CHAINS) -> dict:
 
 def run_benchmark(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> dict:
     delays = make_delays(total_events)
-    results = {kind: drive(kind, delays, chains) for kind in sorted(ENGINE_KINDS)}
+    results = {
+        engine_class.kind: drive(engine_class, delays, chains)
+        for engine_class in (Engine, HeapqEngine)
+    }
     # Identical schedules must end at the identical simulated instant.
     finals = {row["final_time_ps"] for row in results.values()}
     if len(finals) != 1:
@@ -155,32 +158,6 @@ def test_engine_hotpath_smoke():
     assert record["speedup_calendar_over_heapq"] >= 1.2
 
 
-# -- engine self-profiling (--profile) --------------------------------------
-
-
-def run_profile(total_events: int = FULL_EVENTS, chains: int = CHAINS) -> str:
-    """Re-run the schedule on the ProfiledEngine and format its report.
-
-    Imported lazily so the plain benchmark keeps iterating exactly the
-    production ENGINE_KINDS (the import registers the "profiled" kind).
-    """
-    from repro.telemetry.profiler import ProfiledEngine
-
-    delays = make_delays(total_events)
-    engine = ProfiledEngine()
-    n = len(delays)
-    per_chain = n // chains
-    chain_objs = []
-    for c in range(chains):
-        start = c * per_chain
-        stop = n if c == chains - 1 else start + per_chain
-        chain_objs.append(_Chain(engine, delays, start, stop))
-    for chain in chain_objs:
-        chain.step()
-    engine.run()
-    return engine.format_report()
-
-
 # -- script mode ------------------------------------------------------------
 
 
@@ -193,15 +170,7 @@ def main(argv=None) -> int:
         "--check", action="store_true",
         help="exit non-zero unless the calendar queue is >= 2x the heapq path",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the schedule under the self-profiling engine and print "
-             "its per-owner callback/dispatch report instead",
-    )
     args = parser.parse_args(argv)
-    if args.profile:
-        print(run_profile(args.events, args.chains))
-        return 0
     record = run_benchmark(args.events, args.chains)
     text = json.dumps(record, indent=2)
     print(text)

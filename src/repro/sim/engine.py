@@ -10,7 +10,7 @@ order, which keeps runs fully deterministic.
 
 Two queue implementations share one API and one ordering contract:
 
-:class:`Engine` (the default)
+:class:`Engine` (the production engine)
     A bucketed calendar queue. Events are grouped into per-timestamp
     buckets (a dict keyed by time) and a small heap orders only the
     *distinct* timestamps. Because hardware models align work to clock
@@ -39,6 +39,12 @@ Both engines support two scheduling paths:
     event record and no handle. Use it for the vast majority of
     schedules that are never cancelled (cache lookups, DRAM completions,
     core steps, statistics windows).
+
+Both engines also share one failure contract: if a callback raises, the
+exception propagates out of ``run()``, the raising event counts as
+consumed (it is neither executed again nor counted in
+``executed_total``), and the next ``run()`` resumes with the remaining
+events. ``stop()`` from inside a callback resumes the same way.
 """
 
 from __future__ import annotations
@@ -130,7 +136,6 @@ class Engine:
         # callback (post path) or an _Event (cancellable path).
         self._buckets: dict[int, list] = {}
         self._times: list[int] = []  # heap of the distinct bucket times
-        self._pos = 0  # resume index into the earliest bucket after stop()
         # Invariant: live events == _queued - _cancelled_pending. Keeping
         # two counters instead of three makes the per-event bookkeeping a
         # single integer update on each of the insert and dispatch paths.
@@ -232,10 +237,8 @@ class Engine:
 
     def _purge(self) -> None:
         """Drop cancelled records from every bucket not currently executing."""
-        # Never rewrite the bucket currently (or partially) executing:
-        # _pos indexes into it.
-        in_head = self._running or self._pos
-        skip = self._times[0] if in_head and self._times else None
+        # Never rewrite the bucket run() is iterating over.
+        skip = self._times[0] if self._running and self._times else None
         removed = 0
         for time_ps in list(self._buckets):
             if time_ps == skip:
@@ -279,20 +282,14 @@ class Engine:
         times = self._times
         buckets = self._buckets
         event_class = _Event
+        i = 0  # entries of the head bucket dispatched so far
         try:
             while times and not self._stopped:
                 time_ps = times[0]
                 if until_ps is not None and time_ps > until_ps:
                     break
                 bucket = buckets[time_ps]
-                if self._pos:
-                    # Resuming after a mid-bucket stop(): drop the already
-                    # dispatched prefix so iteration restarts at zero.
-                    bucket = bucket[self._pos:]
-                    buckets[time_ps] = bucket
-                    self._pos = 0
                 self._now = time_ps
-                i = 0
                 # The list iterator re-checks the length every step, so
                 # callbacks that schedule more work at the current
                 # timestamp extend this bucket and the new entries run in
@@ -311,14 +308,18 @@ class Engine:
                     if self._stopped:
                         break
                 if i < len(bucket):
-                    # Stopped mid-bucket: remember where to resume.
-                    self._pos = i
-                    break
+                    break  # stop() fired mid-bucket
                 del buckets[time_ps]
                 heapq.heappop(times)
+                i = 0
         finally:
             self._running = False
             self.executed_total += executed
+            if i:
+                # Left mid-bucket through stop() or a raising callback:
+                # drop the dispatched prefix, a raising entry included,
+                # so the next run() resumes with the rest.
+                del bucket[:i]
         if until_ps is not None and self._now < until_ps and not self._stopped:
             self._now = until_ps
         return executed
@@ -408,18 +409,3 @@ class HeapqEngine(Engine):
             self._now = until_ps
         return executed
 
-
-ENGINE_KINDS = {
-    "calendar": Engine,
-    "heapq": HeapqEngine,
-}
-
-
-def make_engine(kind: str = "calendar") -> Engine:
-    """Build an engine by queue implementation name."""
-    try:
-        return ENGINE_KINDS[kind]()
-    except KeyError:
-        raise ValueError(
-            f"unknown engine kind {kind!r}; choose from {sorted(ENGINE_KINDS)}"
-        ) from None

@@ -2,34 +2,15 @@
 
 Control-plane statistics tables (PARD Fig. 2) store per-DS-id usage
 information such as hit/miss counts, bandwidth and average queueing
-latency. Triggers compare *rates* over recent history, so alongside plain
-counters we provide windowed counters that expose a value over the last
-completed window.
+latency. Triggers compare *rates* over recent history, so this module
+provides windowed counters that expose a value over the last completed
+window, plus latency recorders.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Optional
-
-
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter"):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class WindowedRate:

@@ -27,7 +27,7 @@ from repro.io.disk import IdeControlPlane, IdeController
 from repro.io.nic import MultiQueueNic, NicControlPlane
 from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
-from repro.sim.engine import Engine, make_engine
+from repro.sim.engine import Engine
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.system.config import ServerConfig, TABLE2
 
@@ -40,16 +40,10 @@ class PardServer:
         config: ServerConfig = TABLE2,
         engine: Optional[Engine] = None,
         tracer: Tracer = NULL_TRACER,
-        engine_kind: str = "calendar",
         telemetry=None,
     ):
         self.config = config
-        if engine is None and telemetry is not None and telemetry.profile_engine:
-            # Importing the profiler registers the "profiled" engine kind.
-            from repro.telemetry.profiler import ProfiledEngine  # noqa: F401
-
-            engine_kind = "profiled"
-        self.engine = engine or make_engine(engine_kind)
+        self.engine = engine or Engine()
         self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None

@@ -8,25 +8,16 @@ the two must be behaviorally indistinguishable.
 import pytest
 
 from repro.sim.engine import (
-    ENGINE_KINDS,
     Engine,
     HeapqEngine,
     PS_PER_MS,
     SimulationError,
-    make_engine,
 )
 
 
-@pytest.fixture(params=sorted(ENGINE_KINDS))
+@pytest.fixture(params=(Engine, HeapqEngine), ids=lambda cls: cls.kind)
 def engine(request):
-    return make_engine(request.param)
-
-
-def test_make_engine_kinds():
-    assert isinstance(make_engine("calendar"), Engine)
-    assert isinstance(make_engine("heapq"), HeapqEngine)
-    with pytest.raises(ValueError):
-        make_engine("splay")
+    return request.param()
 
 
 def test_initial_time_is_zero(engine):
@@ -247,6 +238,80 @@ def test_stop_mid_bucket_resumes_remaining_same_timestamp_events(engine):
     assert engine.pending_events == 2
     engine.run()
     assert fired == [1, 3, 4]
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_raising_callback_is_consumed_and_run_resumes(engine, position):
+    """A callback that raises mid-bucket propagates out of run(); the
+    next run() resumes after it without replaying what already ran."""
+    log = []
+    raised = []
+
+    def boom():
+        log.append("b")
+        if not raised:
+            raised.append(True)
+            raise _Boom()
+
+    callbacks = [lambda: log.append("a"), lambda: log.append("c")]
+    callbacks.insert({"first": 0, "middle": 1, "last": 2}[position], boom)
+    for callback in callbacks:
+        engine.post(10, callback)
+    engine.post(20, lambda: log.append("d"))
+    with pytest.raises(_Boom):
+        engine.run()
+    assert engine.now == 10
+    assert engine.pending_events == {"first": 3, "middle": 2, "last": 1}[position]
+    engine.run()
+    expected = {"first": "bacd", "middle": "abcd", "last": "acbd"}[position]
+    assert log == list(expected)
+    assert engine.pending_events == 0
+    assert engine.executed_total == 3
+
+
+def test_raising_cancellable_event_is_consumed(engine):
+    log = []
+
+    def boom():
+        log.append("b")
+        raise _Boom()
+
+    engine.schedule(10, lambda: log.append("a"))
+    handle = engine.schedule(10, boom)
+    engine.schedule(10, lambda: log.append("c"))
+    with pytest.raises(_Boom):
+        engine.run()
+    handle.cancel()  # already executed: must not touch the live count
+    assert engine.pending_events == 1
+    assert engine.run() == 1
+    assert log == ["a", "b", "c"]
+    assert engine.pending_events == 0
+    assert engine.executed_total == 2
+
+
+def test_stop_mid_bucket_then_purge_and_post_before_resume(engine):
+    """Between a mid-bucket stop() and the next run(), a purge may
+    rewrite the stopped bucket and new work may join it; the resumed
+    run dispatches the survivors once each, in scheduling order."""
+    fired = []
+    engine.schedule(10, lambda: fired.append("a"))
+    engine.schedule(10, engine.stop)
+    victims = [engine.schedule(10, lambda: fired.append("x")) for _ in range(70)]
+    engine.schedule(10, lambda: fired.append("c"))
+    engine.run()
+    assert fired == ["a"]
+    for handle in victims:
+        handle.cancel()  # enough to trigger the lazy purge
+    engine.post(0, lambda: fired.append("d"))
+    assert engine.pending_events == 2
+    assert engine.run() == 2
+    assert fired == ["a", "c", "d"]
+    assert engine.pending_events == 0
+    assert engine.executed_total == 4
 
 
 def test_run_is_not_reentrant(engine):
