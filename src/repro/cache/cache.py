@@ -18,7 +18,7 @@ DS-id, not the requester's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cache.mshr import MshrFile, MshrFullError
 from repro.cache.replacement import WayMaskedPlru
@@ -28,6 +28,8 @@ from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
 from repro.sim.trace import NULL_TRACER, Tracer
+
+_READ = MemOp.READ
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class CacheConfig:
                 f"{self.name}: size {self.size_bytes} not divisible by "
                 f"ways*line_size = {self.ways * self.line_size}"
             )
+        if self.line_size & (self.line_size - 1):
+            raise ValueError(f"{self.name}: line size {self.line_size} must be a power of two")
         sets = self.num_sets
         if sets & (sets - 1):
             raise ValueError(f"{self.name}: number of sets {sets} must be a power of two")
@@ -73,11 +77,27 @@ class _Line:
 
 
 class _Set:
-    __slots__ = ("lines", "plru")
+    """One set's ways, their PLRU tree, and two views of the tag array.
+
+    ``index`` maps ``(tag << 16) | ds_id`` to the way of every valid line
+    (DS-ids fit in 16 bits, so the key is unique per pair);
+    ``free`` has bit ``w`` set while way ``w`` is invalid with tag 0
+    (never filled, or flushed), the ways a fill takes before PLRU is
+    consulted. Every write to a line's tag or valid bit updates both.
+    """
+
+    __slots__ = ("lines", "plru", "index", "free")
 
     def __init__(self, ways: int):
         self.lines = [_Line() for _ in range(ways)]
         self.plru = WayMaskedPlru(ways)
+        self.index: dict[int, int] = {}
+        self.free = (1 << ways) - 1
+
+
+def _lowest_way(ways: int) -> int:
+    """The lowest way whose bit is set in the non-zero mask ``ways``."""
+    return (ways & -ways).bit_length() - 1
 
 
 class Cache(Component):
@@ -105,6 +125,12 @@ class Cache(Component):
         self._reserved_slots: dict[tuple[int, int], int] = {}
         self.mshrs = MshrFile(config.mshr_entries)
         self.writebacks = WritebackBuffer(config.writeback_entries)
+        # Power-of-two geometry: address = ((tag << set_shift) | set) << line_shift.
+        self._line_shift = config.line_size.bit_length() - 1
+        self._set_mask = config.num_sets - 1
+        self._set_shift = self._set_mask.bit_length()
+        self._full_mask = (1 << config.ways) - 1
+        self._hit_ps = config.hit_latency_cycles * clock.period_ps
         # Plain counters for caches without a control plane (the L1s).
         self.total_hits = 0
         self.total_misses = 0
@@ -122,7 +148,7 @@ class Cache(Component):
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         """Accept a tagged cache access; respond after the modeled latency."""
-        self.post_cycles(
+        self.clock.post_cycles(
             self.config.hit_latency_cycles, lambda: self._lookup(packet, on_response)
         )
 
@@ -135,100 +161,102 @@ class Cache(Component):
         queue is purely a simulator optimization -- the modeled latency is
         identical to :meth:`handle_request`.
         """
-        line_addr = packet.line_addr(self.config.line_size)
-        set_index, tag = self._decompose(line_addr)
-        cache_set = self._set(set_index)
-        way = self._find(cache_set, tag, packet.ds_id)
+        block = packet.addr >> self._line_shift
+        set_index = block & self._set_mask
+        cache_set = self._sets.get(set_index) or self._new_set(set_index)
+        way = cache_set.index.get(((block >> self._set_shift) << 16) | packet.ds_id)
         if way is None:
             self.handle_request(packet, on_response)
             return None
         cache_set.plru.touch(way)
-        if packet.is_write:
+        if packet.op is not _READ:
             cache_set.lines[way].dirty = True
         self.total_hits += 1
         if self.control is not None:
-            self.control.record_access(packet.ds_id, hit=True)
-        latency_ps = self.config.hit_latency_cycles * self.clock.period_ps
+            self.control.record_access(packet.ds_id, True)
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.hit", self.now + latency_ps)
-        return latency_ps
+            packet.span.hop(f"{self.name}.hit", self.engine.now + self._hit_ps)
+        return self._hit_ps
 
     def _lookup(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
-        line_addr = packet.line_addr(self.config.line_size)
-        set_index, tag = self._decompose(line_addr)
-        cache_set = self._set(set_index)
-        way = self._find(cache_set, tag, packet.ds_id)
-        if way is not None:
-            self._on_hit(cache_set, way, packet, on_response)
-        else:
-            self._on_miss(cache_set, set_index, tag, line_addr, packet, on_response)
-
-    def _on_hit(self, cache_set: _Set, way: int, packet: MemoryPacket, on_response) -> None:
+        block = packet.addr >> self._line_shift
+        set_index = block & self._set_mask
+        cache_set = self._sets.get(set_index) or self._new_set(set_index)
+        tag = block >> self._set_shift
+        way = cache_set.index.get((tag << 16) | packet.ds_id)
+        if way is None:
+            self._on_miss(
+                cache_set, set_index, tag, block << self._line_shift, packet, on_response
+            )
+            return
         cache_set.plru.touch(way)
-        if packet.is_write:
+        if packet.op is not _READ:
             cache_set.lines[way].dirty = True
         self.total_hits += 1
         if self.control is not None:
-            self.control.record_access(packet.ds_id, hit=True)
+            self.control.record_access(packet.ds_id, True)
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.hit", self.now)
+            packet.span.hop(f"{self.name}.hit", self.engine.now)
         on_response(packet)
 
     def _on_miss(
         self, cache_set: _Set, set_index: int, tag: int, line_addr: int, packet, on_response
     ) -> None:
+        ds_id = packet.ds_id
+        now = self.engine.now
         self.total_misses += 1
         if self.control is not None:
-            self.control.record_access(packet.ds_id, hit=False)
+            self.control.record_access(ds_id, False)
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.miss", self.now)
+            packet.span.hop(f"{self.name}.miss", now)
         try:
             _entry, is_primary = self.mshrs.allocate(
-                line_addr,
-                packet.ds_id,
-                self.now,
-                is_write=packet.is_write,
-                on_fill=lambda: on_response(packet),
+                line_addr, ds_id, now, packet.op is not _READ,
+                lambda: on_response(packet),
             )
         except MshrFullError:
             # Structural stall: retry the lookup after a short back-off.
-            self.post_cycles(
+            self.clock.post_cycles(
                 self.config.retry_cycles, lambda: self._lookup(packet, on_response)
             )
             return
         if not is_primary:
             return  # merged into an in-flight fill
-        self._evict_victim(cache_set, set_index, line_addr, packet.ds_id)
+        self._evict_victim(cache_set, set_index, line_addr, ds_id)
         fill = MemoryPacket(
-            ds_id=packet.ds_id,
+            ds_id=ds_id,
             addr=line_addr,
             size=self.config.line_size,
-            op=MemOp.READ,
-            birth_ps=self.now,
+            op=_READ,
+            birth_ps=now,
             # The fill inherits the missing request's span, so the trail
             # continues downstream (LLC, crossbar, DRAM).
             span=packet.span,
         )
-        fill_done = lambda _resp=None: self._on_fill(set_index, tag, line_addr, packet.ds_id)
+        fill_done = lambda _resp=None: self._on_fill(set_index, tag, line_addr, ds_id)
         sync_latency = self.downstream.access(fill, fill_done)
         if sync_latency is not None:
-            self.post(sync_latency, fill_done)
+            self.engine.post(sync_latency, fill_done)
 
     def _evict_victim(self, cache_set: _Set, set_index: int, line_addr: int, ds_id: int) -> None:
         """Select and evict the victim for an incoming fill.
 
         The victim way is chosen under the requester's way mask (from the
-        control plane's parameter table); the slot is reserved (tag -1) so
-        concurrent misses to the same set pick different ways. The
-        reservation key is the MSHR key ``(line_addr, ds_id)``, which is
-        unique because only primary misses reach this point.
+        control plane's parameter table): the lowest free way if there is
+        one, else the PLRU victim. The slot is reserved (tag -1, so
+        neither valid nor free) so concurrent misses to the same set pick
+        different ways. The reservation key is the MSHR key ``(line_addr,
+        ds_id)``, which is unique because only primary misses reach this
+        point.
         """
-        mask = self._waymask(ds_id)
-        way = self._find_invalid(cache_set, mask)
-        if way is None:
-            way = cache_set.plru.victim(mask)
+        mask = self._full_mask
+        if self.control is not None:
+            mask &= self.control.waymask(ds_id)
+        free = cache_set.free & mask
+        way = _lowest_way(free) if free else cache_set.plru.victim(mask)
         victim = cache_set.lines[way]
         if victim.valid:
+            del cache_set.index[(victim.tag << 16) | victim.ds_id]
             if self.control is not None:
                 self.control.record_eviction(victim.ds_id)
             if victim.dirty:
@@ -236,16 +264,19 @@ class Cache(Component):
             victim.valid = False
         # Reserve the slot for this fill.
         victim.tag = -1
+        cache_set.free &= ~(1 << way)
         cache_set.plru.touch(way)
         self._reserved_slots[(line_addr, ds_id)] = way
 
     def _write_back(self, set_index: int, victim: _Line) -> None:
-        line_addr = self._compose(set_index, victim.tag)
-        entry = self.writebacks.push(line_addr, victim.ds_id, self.now)
-        self.tracer.emit(
-            self.now, self.name, "writeback",
-            f"addr={line_addr:#x} owner={victim.ds_id}",
-        )
+        line_addr = ((victim.tag << self._set_shift) | set_index) << self._line_shift
+        now = self.engine.now
+        entry = self.writebacks.push(line_addr, victim.ds_id, now)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                now, self.name, "writeback",
+                f"addr={line_addr:#x} owner={victim.ds_id}",
+            )
         # Drain immediately; the memory controller queue is the real
         # contention point downstream.
         self.writebacks.pop()
@@ -255,24 +286,21 @@ class Cache(Component):
             size=self.config.line_size,
             op=MemOp.WRITEBACK,
             owner_ds_id=entry.owner_ds_id,
-            birth_ps=self.now,
+            birth_ps=now,
         )
         self.downstream.handle_request(packet, lambda _resp: None)
 
     def _on_fill(self, set_index: int, tag: int, line_addr: int, ds_id: int) -> None:
-        """Install the returned line and wake the MSHR waiters."""
-        cache_set = self._set(set_index)
-        way = self._reserved_slots.pop((line_addr, ds_id), None)
-        if way is None:  # defensive: no reservation recorded; pick now
-            mask = self._waymask(ds_id)
-            way = self._find_invalid(cache_set, mask)
-            if way is None:
-                way = cache_set.plru.victim(mask)
+        """Install the returned line in its reserved way and wake the MSHR
+        waiters."""
+        cache_set = self._sets[set_index]
+        way = self._reserved_slots.pop((line_addr, ds_id))
         entry = self.mshrs.complete(line_addr, ds_id)
         line = cache_set.lines[way]
         if line.valid:
             # A concurrent fill landed in our reserved way (possible when a
             # narrow way mask forces PLRU onto a reserved slot); evict it.
+            del cache_set.index[(line.tag << 16) | line.ds_id]
             if self.control is not None:
                 self.control.record_eviction(line.ds_id)
             if line.dirty:
@@ -281,43 +309,19 @@ class Cache(Component):
         line.ds_id = ds_id
         line.valid = True
         line.dirty = entry.is_write
+        cache_set.index[(tag << 16) | ds_id] = way
+        # Normally already clear (the way was reserved), but a flush may
+        # have freed it after a concurrent fill landed here.
+        cache_set.free &= ~(1 << way)
         cache_set.plru.touch(way)
         if self.control is not None:
             self.control.record_fill(ds_id)
 
-    # -- geometry helpers ---------------------------------------------------
-
-    def _decompose(self, line_addr: int) -> tuple[int, int]:
-        block = line_addr // self.config.line_size
-        return block % self.config.num_sets, block // self.config.num_sets
-
-    def _compose(self, set_index: int, tag: int) -> int:
-        return (tag * self.config.num_sets + set_index) * self.config.line_size
-
-    def _set(self, set_index: int) -> _Set:
-        cache_set = self._sets.get(set_index)
-        if cache_set is None:
-            cache_set = _Set(self.config.ways)
-            self._sets[set_index] = cache_set
+    def _new_set(self, set_index: int) -> _Set:
+        """Create and register a set on its first access (sets are
+        allocated lazily); callers first check that it does not exist."""
+        cache_set = self._sets[set_index] = _Set(self.config.ways)
         return cache_set
-
-    def _find(self, cache_set: _Set, tag: int, ds_id: int) -> Optional[int]:
-        for way, line in enumerate(cache_set.lines):
-            if line.valid and line.tag == tag and line.ds_id == ds_id:
-                return way
-        return None
-
-    def _find_invalid(self, cache_set: _Set, mask: int) -> Optional[int]:
-        for way, line in enumerate(cache_set.lines):
-            if not line.valid and line.tag == 0 and mask & (1 << way):
-                return way
-        return None
-
-    def _waymask(self, ds_id: int) -> int:
-        full = (1 << self.config.ways) - 1
-        if self.control is None:
-            return full
-        return self.control.waymask(ds_id) & full
 
     # -- management operations ---------------------------------------------
 
@@ -331,13 +335,15 @@ class Cache(Component):
         """
         flushed = 0
         for set_index, cache_set in self._sets.items():
-            for line in cache_set.lines:
+            for way, line in enumerate(cache_set.lines):
                 if line.valid and line.ds_id == ds_id:
                     if line.dirty:
                         self._write_back(set_index, line)
+                    del cache_set.index[(line.tag << 16) | ds_id]
                     line.valid = False
                     line.tag = 0
                     line.dirty = False
+                    cache_set.free |= 1 << way
                     flushed += 1
                     if self.control is not None:
                         self.control.record_eviction(ds_id)

@@ -76,7 +76,8 @@ class LlcControlPlane(ControlPlane):
 
     def waymask(self, ds_id: int) -> int:
         """The way-partition mask for a DS-id; untracked DS-ids share all ways."""
-        return self.parameters.get_default(ds_id, "waymask", self.full_mask)
+        row = self.parameters.live_row(ds_id)
+        return self.full_mask if row is None else row["waymask"]
 
     # -- accounting (hardware side, off the critical path) ----------------------
 

@@ -18,7 +18,7 @@ class MshrFullError(RuntimeError):
     """All MSHRs are busy; the cache must stall the request."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MshrEntry:
     line_addr: int
     ds_id: int
@@ -74,7 +74,7 @@ class MshrFile:
             if on_fill is not None:
                 entry.waiters.append(on_fill)
             return entry, False
-        if self.is_full:
+        if len(self._entries) >= self.num_entries:  # is_full, inlined: every miss
             raise MshrFullError(
                 f"all {self.num_entries} MSHRs busy at line {line_addr:#x}"
             )

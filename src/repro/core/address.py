@@ -16,6 +16,28 @@ class AddressTranslationError(Exception):
     """An LDom-physical address fell outside its DRAM window."""
 
 
+def check_window(base: int, size: int) -> None:
+    """Reject a window with a negative base or a non-positive size."""
+    if base < 0 or size <= 0:
+        raise ValueError(f"invalid mapping base={base} size={size}")
+
+
+def translate_window(base: int, size: int, ldom_addr: int) -> int:
+    """LDom-physical -> DRAM address through the window ``[base, base+size)``.
+
+    Validates the window (``ValueError``) and bounds-checks the address
+    (``AddressTranslationError``). The memory controller calls this with
+    the cells of a parameter-table row, without building an
+    :class:`AddressMapping` per request.
+    """
+    check_window(base, size)
+    if not 0 <= ldom_addr < size:
+        raise AddressTranslationError(
+            f"LDom address {ldom_addr:#x} outside window of size {size:#x}"
+        )
+    return base + ldom_addr
+
+
 @dataclass(frozen=True)
 class AddressMapping:
     """A base+bound window mapping LDom-physical to DRAM addresses."""
@@ -24,8 +46,7 @@ class AddressMapping:
     size: int
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.size <= 0:
-            raise ValueError(f"invalid mapping base={self.base} size={self.size}")
+        check_window(self.base, self.size)
 
     @property
     def limit(self) -> int:
@@ -34,11 +55,7 @@ class AddressMapping:
 
     def translate(self, ldom_addr: int) -> int:
         """LDom-physical -> DRAM address, bounds-checked."""
-        if not 0 <= ldom_addr < self.size:
-            raise AddressTranslationError(
-                f"LDom address {ldom_addr:#x} outside window of size {self.size:#x}"
-            )
-        return self.base + ldom_addr
+        return translate_window(self.base, self.size, ldom_addr)
 
     def reverse(self, dram_addr: int) -> int:
         """DRAM address -> LDom-physical, bounds-checked."""

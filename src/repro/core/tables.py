@@ -139,6 +139,16 @@ class DsidTable:
             return default
         return self.get(ds_id, column)
 
+    def live_row(self, ds_id: int) -> Optional[dict[str, int]]:
+        """The row itself (not a copy), or None for an unallocated DS-id.
+
+        For hardware-side policy reads that need several cells of one
+        row per request. Callers read it and drop it: writes go through
+        :meth:`set`, and a row must not be kept across firmware writes,
+        since ``free`` + ``allocate`` replace it.
+        """
+        return self._rows.get(ds_id)
+
     def set(self, ds_id: int, column: str, value: int) -> None:
         row = self._row(ds_id)
         if column not in self.schema:

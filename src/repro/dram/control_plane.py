@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.address import AddressMapping, AddressTranslationError
+from repro.core.address import (
+    AddressMapping, AddressTranslationError, translate_window,
+)
 from repro.core.control_plane import ControlPlane
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -67,27 +69,24 @@ class MemoryControlPlane(ControlPlane):
 
     def translate(self, ds_id: int, ldom_addr: int) -> int:
         """LDom-physical -> DRAM address; identity for unmapped DS-ids."""
-        if not self.parameters.has(ds_id):
+        row = self.parameters.live_row(ds_id)
+        if row is None or row["addr_size"] == 0:
             return ldom_addr
-        size = self.parameters.get(ds_id, "addr_size")
-        if size == 0:
-            return ldom_addr
-        mapping = AddressMapping(self.parameters.get(ds_id, "addr_base"), size)
-        return mapping.translate(ldom_addr)
+        return translate_window(row["addr_base"], row["addr_size"], ldom_addr)
 
     def mapping(self, ds_id: int) -> Optional[AddressMapping]:
-        if not self.parameters.has(ds_id):
+        row = self.parameters.live_row(ds_id)
+        if row is None or row["addr_size"] == 0:
             return None
-        size = self.parameters.get(ds_id, "addr_size")
-        if size == 0:
-            return None
-        return AddressMapping(self.parameters.get(ds_id, "addr_base"), size)
+        return AddressMapping(row["addr_base"], row["addr_size"])
 
     def priority(self, ds_id: int) -> int:
-        return self.parameters.get_default(ds_id, "priority", 0)
+        row = self.parameters.live_row(ds_id)
+        return 0 if row is None else row["priority"]
 
     def rowbuf_enabled(self, ds_id: int) -> bool:
-        return bool(self.parameters.get_default(ds_id, "rowbuf", 1))
+        row = self.parameters.live_row(ds_id)
+        return row is None or bool(row["rowbuf"])
 
     # -- accounting (hardware side) ---------------------------------------------
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.address import translate_window
 from repro.dram.bank import BankState
 from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
 from repro.dram.timing import DramGeometry, DramTiming, decompose_address
@@ -84,12 +85,15 @@ class MemoryController(Component):
             hp_row_buffer = False
         self.hp_row_buffer = hp_row_buffer
         self.scheduler = PriorityFrFcfsScheduler(priority_levels)
+        self._top_priority = priority_levels - 1
         self.banks = [
             BankState(i, hp_row_buffer=hp_row_buffer)
             for i in range(self.geometry.total_banks)
         ]
         self.bus_free_at_ps = 0
+        # The armed arbitration wakeup and its time (see _arm_wakeup).
         self._wakeup_handle = None
+        self._wakeup_at_ps = 0
         self._inflight = 0
         # Queueing delay per priority level, in memory cycles (Fig. 11).
         self.queue_delay = [
@@ -126,24 +130,30 @@ class MemoryController(Component):
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         ds_id = packet.effective_ds_id
-        dram_addr = self._translate(ds_id, packet.addr)
-        bank_index, row, _column = decompose_address(dram_addr, self.geometry)
-        priority = self._priority(ds_id)
-        request = PendingRequest(
-            packet=packet,
-            bank_index=bank_index,
-            row=row,
-            priority=priority,
-            enqueued_at_ps=self.now,
-            on_response=on_response,
-        )
-        self.scheduler.enqueue(request)
+        addr = packet.addr
+        priority = 0
+        control = self.control
+        if control is not None:
+            # One read of the DS-id's live parameter row serves the
+            # address mapping and the priority.
+            policy = control.parameters.live_row(ds_id)
+            if policy is not None:
+                size = policy["addr_size"]
+                if size and self.translate_addresses:
+                    addr = translate_window(policy["addr_base"], size, addr)
+                priority = max(0, min(policy["priority"], self._top_priority))
+        bank_index, row, _column = decompose_address(addr, self.geometry)
+        now = self.engine.now
+        self.scheduler.enqueue(PendingRequest(
+            packet, bank_index, row, priority, now, on_response, ds_id
+        ))
         if packet.span is not None:
-            packet.span.hop(f"{self.name}.enqueue", self.now)
-        self.tracer.emit(
-            self.now, self.name, "enqueue",
-            f"dsid={ds_id} bank={bank_index} row={row} prio={priority}",
-        )
+            packet.span.hop(f"{self.name}.enqueue", now)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                now, self.name, "enqueue",
+                f"dsid={ds_id} bank={bank_index} row={row} prio={priority}",
+            )
         self._pump()
 
     # -- arbitration / issue --------------------------------------------------
@@ -167,39 +177,33 @@ class MemoryController(Component):
         are identical); the control plane redistributes *waiting*, which
         is what Fig. 11 measures.
         """
+        banks = self.banks
+        scheduler = self.scheduler
         while True:
-            head = None
-            for priority in range(self.scheduler.priority_levels - 1, -1, -1):
-                head = self.scheduler.head(priority)
-                if head is not None:
-                    break
-            if head is None:
+            request, busy_until_ps = scheduler.pop_ready(banks, self.engine.now)
+            if request is None:
+                if busy_until_ps:
+                    # Strict priority: the preferred head owns the dispatch
+                    # port even while its bank is busy.
+                    self._arm_wakeup(busy_until_ps)
                 return
-            bank = self.banks[head.bank_index]
-            if bank.ready_at_ps > self.now:
-                # Strict priority: the preferred head owns the dispatch
-                # port even while its bank is busy.
-                self._arm_wakeup(bank.ready_at_ps)
-                return
-            self.scheduler.pop_head(head.priority)
-            self._issue(head)
+            self._issue(request)
 
     def _issue(self, request: PendingRequest) -> None:
         bank = self.banks[request.bank_index]
         high_priority = self._is_high_priority(request)
-        latency_cycles = bank.access_latency_cycles(
-            request.row, self.timing, high_priority
-        )
+        timing = self.timing
+        latency_cycles = bank.access_latency_cycles(request.row, timing, high_priority)
         cycle_ps = self.clock.period_ps
-        issue_ps = self.now
-        pre_data_ps = (latency_cycles - self.timing.t_burst) * cycle_ps
-        burst_ps = self.timing.t_burst * cycle_ps
+        issue_ps = self.engine.now
+        pre_data_ps = (latency_cycles - timing.t_burst) * cycle_ps
+        burst_ps = timing.t_burst * cycle_ps
         # The shared data bus serializes bursts; row preparation overlaps
         # with other banks' transfers.
         data_start_ps = max(issue_ps + pre_data_ps, self.bus_free_at_ps)
         done_ps = data_start_ps + burst_ps
         done_ps = bank.record_access(
-            request.row, issue_ps, done_ps, self.timing, cycle_ps, high_priority
+            request.row, issue_ps, done_ps, timing, cycle_ps, high_priority
         )
         self.bus_free_at_ps = data_start_ps + burst_ps
         request.issued_at_ps = issue_ps
@@ -209,11 +213,12 @@ class MemoryController(Component):
             self._qdelay_hist.record(delay_cycles)
         if request.packet.span is not None:
             request.packet.span.hop(f"{self.name}.issue", issue_ps)
-        self.tracer.emit(
-            issue_ps, self.name, "issue",
-            f"dsid={request.ds_id} bank={request.bank_index} "
-            f"qdelay={delay_cycles:.1f}cyc",
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                issue_ps, self.name, "issue",
+                f"dsid={request.ds_id} bank={request.bank_index} "
+                f"qdelay={delay_cycles:.1f}cyc",
+            )
         self._inflight += 1
         self.engine.post_at(done_ps, lambda: self._complete(request, delay_cycles, done_ps))
 
@@ -232,27 +237,25 @@ class MemoryController(Component):
         self._pump()
 
     def _arm_wakeup(self, wake_at_ps: int) -> None:
-        """Schedule the next arbitration pass (deduplicated)."""
-        if wake_at_ps <= self.now:
+        """Schedule the next arbitration pass (deduplicated).
+
+        Only this method arms or cancels the wakeup, so ``_wakeup_at_ps``
+        is the armed handle's time and a handle is never left cancelled.
+        An armed wakeup at or before ``wake_at_ps`` suffices; so does one
+        that already fired, whose time is in the past: after the first
+        wakeup fires, progress comes from the ``_pump`` in ``_complete``,
+        which runs when the busy bank's access ends.
+        """
+        if wake_at_ps <= self.engine.now:
             return
-        if self._wakeup_handle is not None and not self._wakeup_handle.cancelled:
-            if self._wakeup_handle.time_ps <= wake_at_ps:
+        if self._wakeup_handle is not None:
+            if self._wakeup_at_ps <= wake_at_ps:
                 return
             self._wakeup_handle.cancel()
+        self._wakeup_at_ps = wake_at_ps
         self._wakeup_handle = self.engine.schedule_at(wake_at_ps, self._pump)
 
     # -- control-plane consultation ------------------------------------------------
-
-    def _translate(self, ds_id: int, addr: int) -> int:
-        if self.control is None or not self.translate_addresses:
-            return addr
-        return self.control.translate(ds_id, addr)
-
-    def _priority(self, ds_id: int) -> int:
-        if self.control is None:
-            return 0
-        priority = self.control.priority(ds_id)
-        return max(0, min(priority, self.scheduler.priority_levels - 1))
 
     def _is_high_priority(self, request: PendingRequest) -> bool:
         if not self.hp_row_buffer or request.priority == 0:

@@ -7,6 +7,10 @@ non-empty priority first, applying FR-FCFS (first-ready = row-buffer hit
 first, then oldest first [Rixner et al., ISCA'00]) within the chosen
 queue. With a single priority level this degrades to plain FR-FCFS,
 which is the baseline ("w/o control plane") configuration of Fig. 11.
+
+The memory controller arbitrates with :meth:`PriorityFrFcfsScheduler.pop_ready`:
+strict priority over FIFO queue heads (see ``MemoryController._pump``).
+:meth:`PriorityFrFcfsScheduler.select` is the FR-FCFS variant.
 """
 
 from __future__ import annotations
@@ -18,9 +22,13 @@ from repro.dram.bank import BankState
 from repro.sim.packet import MemoryPacket
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
-    """A queued memory request with its decoded DRAM coordinates."""
+    """A queued memory request with its decoded DRAM coordinates.
+
+    ``ds_id`` is the packet's effective DS-id (the owner's, for a
+    writeback).
+    """
 
     packet: MemoryPacket
     bank_index: int
@@ -28,11 +36,8 @@ class PendingRequest:
     priority: int
     enqueued_at_ps: int
     on_response: Callable[[MemoryPacket], None]
+    ds_id: int
     issued_at_ps: Optional[int] = field(default=None)
-
-    @property
-    def ds_id(self) -> int:
-        return self.packet.effective_ds_id
 
 
 class PriorityFrFcfsScheduler:
@@ -42,7 +47,10 @@ class PriorityFrFcfsScheduler:
         if priority_levels <= 0:
             raise ValueError("priority_levels must be positive")
         self.priority_levels = priority_levels
+        # One FIFO list per priority level, lowest priority first, and
+        # the same lists highest priority first for arbitration.
         self._queues: list[list[PendingRequest]] = [[] for _ in range(priority_levels)]
+        self._queues_by_rank = self._queues[::-1]
         self.total_enqueued = 0
 
     @property
@@ -69,13 +77,26 @@ class PriorityFrFcfsScheduler:
         """
         self._queues[request.priority].append(request)
 
-    def head(self, priority: int) -> Optional[PendingRequest]:
-        """The oldest request of one priority class (FIFO head), if any."""
-        queue = self._queues[priority]
-        return queue[0] if queue else None
+    def pop_ready(
+        self, banks: list[BankState], now_ps: int
+    ) -> tuple[Optional[PendingRequest], int]:
+        """Strict-priority FIFO arbitration for the memory controller.
 
-    def pop_head(self, priority: int) -> PendingRequest:
-        return self._queues[priority].pop(0)
+        The head of the highest non-empty queue owns the dispatch port.
+        Returns ``(head, 0)`` with the head removed when its bank can
+        take a command at ``now_ps``; ``(None, ready_at_ps)`` when the
+        head's bank is busy until then; ``(None, 0)`` when every queue
+        is empty.
+        """
+        for queue in self._queues_by_rank:
+            if queue:
+                head = queue[0]
+                ready_at_ps = banks[head.bank_index].ready_at_ps
+                if ready_at_ps > now_ps:
+                    return None, ready_at_ps
+                del queue[0]
+                return head, 0
+        return None, 0
 
     def select(self, banks: list[BankState], now_ps: int) -> Optional[PendingRequest]:
         """Pick (and remove) the next request to issue, or None.

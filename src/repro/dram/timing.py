@@ -89,11 +89,10 @@ def decompose_address(addr: int, geometry: DramGeometry) -> tuple[int, int, int]
     """
     if addr < 0:
         raise ValueError(f"negative DRAM address {addr}")
-    column = addr % geometry.row_bytes
-    row_number = addr // geometry.row_bytes
-    bank_index = row_number % geometry.total_banks
-    row = row_number // geometry.total_banks
-    return bank_index, row, column
+    row_bytes = geometry.row_bytes  # a power of two (checked by DramGeometry)
+    row_number = addr >> (row_bytes.bit_length() - 1)
+    total_banks = geometry.total_banks
+    return row_number % total_banks, row_number // total_banks, addr & (row_bytes - 1)
 
 
 DRAM_CYCLE_PS = DRAM_CLOCK_PS

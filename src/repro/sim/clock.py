@@ -59,6 +59,12 @@ class ClockDomain:
     def post_cycles(self, cycles: int, callback: Callable[[], None]) -> None:
         """Uncancellable :meth:`schedule_cycles`: edge-aligned work from
         every component in this domain lands in the same engine bucket and
-        is dispatched in one queue operation."""
-        target = self.next_edge_ps() + self.cycles_to_ps(cycles)
-        self.engine.post_at(target, callback)
+        is dispatched in one queue operation.
+
+        The target is :meth:`schedule_cycles`' ``next_edge_ps() +
+        cycles_to_ps(cycles)``, computed inline: every cache lookup
+        comes through here."""
+        engine = self.engine
+        now = engine.now
+        period = self.period_ps
+        engine.post_at(now + (-now % period) + cycles * period, callback)

@@ -131,7 +131,10 @@ class Engine:
     kind = "calendar"
 
     def __init__(self) -> None:
-        self._now = 0
+        # Current simulation time in picoseconds. A plain attribute, not a
+        # property: it is read on every memory access, and only run()
+        # (and nothing outside the engine) writes it.
+        self.now = 0
         # time_ps -> FIFO list of entries; an entry is either a bare
         # callback (post path) or an _Event (cancellable path).
         self._buckets: dict[int, list] = {}
@@ -148,21 +151,16 @@ class Engine:
     # -- time ----------------------------------------------------------------
 
     @property
-    def now(self) -> int:
-        """Current simulation time in picoseconds."""
-        return self._now
-
-    @property
     def now_ns(self) -> float:
-        return self._now / PS_PER_NS
+        return self.now / PS_PER_NS
 
     @property
     def now_us(self) -> float:
-        return self._now / PS_PER_US
+        return self.now / PS_PER_US
 
     @property
     def now_ms(self) -> float:
-        return self._now / PS_PER_MS
+        return self.now / PS_PER_MS
 
     @property
     def pending_events(self) -> int:
@@ -175,14 +173,14 @@ class Engine:
         """Schedule ``callback`` to run ``delay_ps`` picoseconds from now."""
         if delay_ps < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
-        return self.schedule_at(self._now + int(delay_ps), callback)
+        return self.schedule_at(self.now + int(delay_ps), callback)
 
     def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at an absolute timestamp, cancellable."""
         time_ps = int(time_ps)
-        if time_ps < self._now:
+        if time_ps < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ps} ps, already at {self._now} ps"
+                f"cannot schedule at {time_ps} ps, already at {self.now} ps"
             )
         event = _Event(time_ps, 0, callback)
         bucket = self._buckets.get(time_ps)
@@ -201,7 +199,7 @@ class Engine:
         """Uncancellable fast path: no event record, no handle."""
         if delay_ps < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
-        time_ps = self._now + int(delay_ps)
+        time_ps = self.now + int(delay_ps)
         bucket = self._buckets.get(time_ps)
         if bucket is None:
             self._buckets[time_ps] = [callback]
@@ -213,9 +211,9 @@ class Engine:
     def post_at(self, time_ps: int, callback: Callable[[], None]) -> None:
         """Uncancellable fast path at an absolute timestamp."""
         time_ps = int(time_ps)
-        if time_ps < self._now:
+        if time_ps < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ps} ps, already at {self._now} ps"
+                f"cannot schedule at {time_ps} ps, already at {self.now} ps"
             )
         bucket = self._buckets.get(time_ps)
         if bucket is None:
@@ -289,7 +287,7 @@ class Engine:
                 if until_ps is not None and time_ps > until_ps:
                     break
                 bucket = buckets[time_ps]
-                self._now = time_ps
+                self.now = time_ps
                 # The list iterator re-checks the length every step, so
                 # callbacks that schedule more work at the current
                 # timestamp extend this bucket and the new entries run in
@@ -320,13 +318,13 @@ class Engine:
                 # drop the dispatched prefix, a raising entry included,
                 # so the next run() resumes with the rest.
                 del bucket[:i]
-        if until_ps is not None and self._now < until_ps and not self._stopped:
-            self._now = until_ps
+        if until_ps is not None and self.now < until_ps and not self._stopped:
+            self.now = until_ps
         return executed
 
     def run_for(self, duration_ps: int) -> int:
         """Run for a fixed duration from the current time."""
-        return self.run(until_ps=self._now + int(duration_ps))
+        return self.run(until_ps=self.now + int(duration_ps))
 
     def drain(self, callbacks: Iterable[Callable[[], None]] = ()) -> int:
         """Schedule ``callbacks`` immediately, then run the queue dry."""
@@ -352,9 +350,9 @@ class HeapqEngine(Engine):
 
     def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> EventHandle:
         time_ps = int(time_ps)
-        if time_ps < self._now:
+        if time_ps < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ps} ps, already at {self._now} ps"
+                f"cannot schedule at {time_ps} ps, already at {self.now} ps"
             )
         event = _Event(time_ps, self._seq, callback)
         self._seq += 1
@@ -367,7 +365,7 @@ class HeapqEngine(Engine):
         # post path simply discards the handle.
         if delay_ps < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ps})")
-        self.schedule_at(self._now + int(delay_ps), callback)
+        self.schedule_at(self.now + int(delay_ps), callback)
 
     def post_at(self, time_ps: int, callback: Callable[[], None]) -> None:
         self.schedule_at(time_ps, callback)
@@ -398,14 +396,14 @@ class HeapqEngine(Engine):
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self._now = event.time_ps
+                self.now = event.time_ps
                 event.done = True
                 event.callback()
                 executed += 1
         finally:
             self._running = False
             self.executed_total += executed
-        if until_ps is not None and self._now < until_ps and not self._stopped:
-            self._now = until_ps
+        if until_ps is not None and self.now < until_ps and not self._stopped:
+            self.now = until_ps
         return executed
 

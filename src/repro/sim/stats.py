@@ -10,6 +10,7 @@ window, plus latency recorders.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 
@@ -112,11 +113,11 @@ class LatencyRecorder:
         return ordered
 
     def percentile(self, pct: float) -> float:
-        """Linear-interpolated percentile, ``pct`` in [0, 100]."""
-        if not self.samples:
-            return 0.0
+        """Linear-interpolated percentile, ``pct`` in [0, 100]; 0.0 when empty."""
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
+        if not self.samples:
+            return 0.0
         ordered = self._ordered()
         if len(ordered) == 1:
             return ordered[0]
@@ -158,7 +159,7 @@ class LatencyRecorder:
             return result
         result = []
         for point in points:
-            covered = _count_le(ordered, point)
+            covered = bisect_right(ordered, point)
             result.append((float(point), covered / n))
         return result
 
@@ -172,14 +173,3 @@ class LatencyRecorder:
     def __repr__(self) -> str:
         return f"LatencyRecorder({self.name}: n={self.count}, mean={self.mean:.2f})"
 
-
-def _count_le(ordered: list[float], point: float) -> int:
-    """Count of values <= point in an ascending list (binary search)."""
-    low, high = 0, len(ordered)
-    while low < high:
-        mid = (low + high) // 2
-        if ordered[mid] <= point:
-            low = mid + 1
-        else:
-            high = mid
-    return low

@@ -101,3 +101,67 @@ class TestWayMaskedPlru:
             victims.add(way)
             plru.touch(way)
         assert victims == set(allowed)
+
+
+class _ListPlru:
+    """Reference model for WayMaskedPlru, written the plain way.
+
+    ``bits[n]`` is internal node ``n``'s direction bit (index 0 unused);
+    ``victim`` re-derives each subtree's leaf range on every step.
+    """
+
+    def __init__(self, num_ways):
+        self.num_ways = num_ways
+        self.bits = [0] * num_ways
+
+    def touch(self, way):
+        node = self.num_ways + way
+        while node > 1:
+            parent = node >> 1
+            self.bits[parent] = 0 if node & 1 else 1
+            node = parent
+
+    def victim(self, mask):
+        mask &= (1 << self.num_ways) - 1
+        node = 1
+        while node < self.num_ways:
+            preferred = 2 * node + self.bits[node]
+            other = 2 * node + (1 - self.bits[node])
+            node = preferred if self._subtree_has_allowed(preferred, mask) else other
+        return node - self.num_ways
+
+    def _subtree_has_allowed(self, node, mask):
+        first, count = node, 1
+        while first < self.num_ways:
+            first *= 2
+            count *= 2
+        first -= self.num_ways
+        return bool(mask & (((1 << count) - 1) << first))
+
+
+@st.composite
+def _plru_script(draw):
+    ways = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("touch"), st.integers(0, ways - 1)),
+            st.tuples(st.just("victim"), st.integers(1, (1 << ways) - 1)),
+        ),
+        max_size=200,
+    ))
+    return ways, steps
+
+
+@given(_plru_script())
+def test_property_matches_list_reference(script):
+    """Any interleaving of touches and masked victim queries picks the
+    same victim as the list-based reference, at every step."""
+    ways, steps = script
+    plru, reference = WayMaskedPlru(ways), _ListPlru(ways)
+    for kind, arg in steps:
+        if kind == "touch":
+            plru.touch(arg)
+            reference.touch(arg)
+        else:
+            assert plru.victim(arg) == reference.victim(arg)
+    assert plru.victim() == reference.victim((1 << ways) - 1)

@@ -7,7 +7,9 @@ Three guarantees the whole experimental methodology rests on:
    statistics (request counts, per-sample latency lists, cache and DRAM
    counters, core busy time), pinned to a checked-in digest. Without
    this, no paper figure is reproducible, and a change that alters
-   simulated behaviour must re-pin the digest on purpose.
+   simulated behaviour must re-pin the digest on purpose. The Fig. 11
+   controller points and a Fig. 8 trigger point, whose firmware
+   rewrites the LLC way mask mid-run, are pinned the same way.
 
 2. **Queue-implementation equivalence** -- the bucketed calendar queue
    and the heapq reference dispatch events in byte-identical order, so
@@ -27,7 +29,14 @@ import pytest
 from repro.sim.engine import Engine, HeapqEngine
 from repro.sim.rng import DeterministicRng
 from repro.system.config import TABLE2
-from repro.system.experiments import ColocationSetup, fig8_sweep_points, run_fig8
+from repro.system.experiments import (
+    ColocationSetup,
+    fig8_sweep_points,
+    measure_saturation_rate,
+    run_colocation_point,
+    run_fig8,
+    run_fig11_controller_point,
+)
 from repro.system.server import PardServer
 from repro.telemetry import Telemetry
 from repro.workloads.memcached import MemcachedServer
@@ -97,6 +106,56 @@ def test_same_seed_same_digest(engine_class):
 def test_colocation_digest_is_pinned(engine_class):
     """Both queues drive the machine to the checked-in state."""
     assert run_colocation(engine_class) == COLOCATION_DIGEST
+
+
+# sha256 of (saturation rate, run_fig11_controller_point result) at 4000
+# requests, seed 7, row-hit fraction 0.5, 0.75 of the measured saturation
+# rate (measured on Python 3.11). Keys: (with_control_plane, hp_row_buffer).
+FIG11_DIGESTS = {
+    (False, False): "275518ce8c096159bee4802b47305128613f4ed0a2062ce4956ae6fe17e538ea",
+    (True, False): "73494d3788ff6091cc540fd7aa3ca817753f618cae65b1b9e1e423ca651e957d",
+    (True, True): "183039759766a75b7e501ebc3994c5252e17cd043c420d2e5b8a2ef1315c23f1",
+}
+
+# sha256 of the ColocationResult below (measured on Python 3.11).
+TRIGGER_DIGEST = "3fdfd0f0d2e651ec1a79fa1c28ac84a0ed5610b9ad5ab69134804436cce00b8f"
+
+
+def fig11_digest(with_control_plane: bool, hp_row_buffer: bool) -> str:
+    """Digest of one Fig. 11 controller point: means and CDFs."""
+    saturation = measure_saturation_rate(num_requests=4000, seed=7, row_hit_fraction=0.5)
+    result = run_fig11_controller_point(
+        with_control_plane, 0.75 * saturation, 4000, 7, 0.5, hp_row_buffer
+    )
+    return hashlib.sha256(repr((saturation, result)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "with_control_plane, hp_row_buffer", FIG11_DIGESTS,
+    ids=("baseline", "pard", "pard-rowbuf"),
+)
+def test_fig11_controller_points_are_pinned(with_control_plane, hp_row_buffer):
+    """Baseline, priority queues, and priority queues plus the extra
+    high-priority row buffer (the only run that reads ``rowbuf``)."""
+    assert fig11_digest(with_control_plane, hp_row_buffer) == FIG11_DIGESTS[
+        (with_control_plane, hp_row_buffer)
+    ]
+
+
+def trigger_point():
+    """A short Fig. 8 trigger point whose trigger fires mid-run."""
+    return run_colocation_point(
+        "trigger", 333_000,
+        ColocationSetup(warmup_ms=0.2, control_window_ms=0.2), measure_ms=0.4,
+    )
+
+
+def test_trigger_point_is_pinned():
+    """The firmware rewrites memcached's LLC way mask mid-run, so a policy
+    read that goes stale (a mask cached across the write) moves the digest."""
+    result = trigger_point()
+    assert result.trigger_fired
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == TRIGGER_DIGEST
 
 
 def test_queue_implementations_agree_on_randomized_schedule():

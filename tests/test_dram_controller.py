@@ -5,7 +5,7 @@ import pytest
 from repro.core.address import AddressTranslationError
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.timing import DramGeometry, DramTiming
+from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
@@ -164,6 +164,43 @@ class TestAddressTranslation:
     def test_unmapped_dsid_is_identity(self):
         _, _, control = self.make_mapped()
         assert control.translate(99, 0x1234) == 0x1234
+
+    def test_request_outside_window_raises(self):
+        engine, controller, _ = self.make_mapped()
+        packet = MemoryPacket(ds_id=1, addr=1 << 20)
+        with pytest.raises(AddressTranslationError):
+            controller.handle_request(packet, lambda p: None)
+
+    def test_negative_window_base_raises(self):
+        engine, controller, control = self.make_mapped()
+        control.allocate_ldom(3, addr_base=-4096, addr_size=1 << 20)
+        with pytest.raises(ValueError):
+            controller.handle_request(MemoryPacket(ds_id=3, addr=0), lambda p: None)
+
+    def test_negative_address_raises(self):
+        _engine, controller = make_controller()
+        with pytest.raises(ValueError):
+            controller.handle_request(MemoryPacket(addr=-64), lambda p: None)
+
+    def test_translation_off_uses_ldom_address(self):
+        engine = Engine()
+        clock = ClockDomain(engine, DRAM_CLOCK_PS)
+        control = MemoryControlPlane(engine)
+        control.allocate_ldom(1, addr_base=1 << 20, addr_size=1 << 20)
+        controller = MemoryController(
+            engine, clock, control=control, translate_addresses=False
+        )
+        read(engine, controller, 2 << 20, ds_id=1)  # outside the window
+        assert controller.banks[0].open_row == (2 << 20) // (16 * 1024)
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_request_opens_the_decoded_bank_and_row(self, ranks):
+        geometry = DramGeometry(ranks=ranks)
+        engine, controller = make_controller(geometry=geometry)
+        addr = 0x1234_5678
+        bank, row, _column = decompose_address(addr, geometry)
+        read(engine, controller, addr)
+        assert controller.banks[bank].open_row == row
 
     def test_overlapping_windows_rejected_via_protocol(self):
         engine = Engine()

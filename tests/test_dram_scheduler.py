@@ -16,6 +16,7 @@ def make_request(bank=0, row=0, priority=0, enq=0, ds_id=0):
         priority=priority,
         enqueued_at_ps=enq,
         on_response=lambda p: None,
+        ds_id=ds_id,
     )
 
 
@@ -55,6 +56,36 @@ class TestPriorityQueues:
     def test_invalid_levels(self):
         with pytest.raises(ValueError):
             PriorityFrFcfsScheduler(0)
+
+
+class TestPopReady:
+    def test_empty_returns_none_and_no_wait(self):
+        assert PriorityFrFcfsScheduler(2).pop_ready(make_banks(), 0) == (None, 0)
+
+    def test_pops_fifo_head_of_highest_priority(self):
+        sched = PriorityFrFcfsScheduler(2)
+        sched.enqueue(make_request(priority=0, enq=0, ds_id=1))
+        sched.enqueue(make_request(priority=1, enq=20, ds_id=2))
+        sched.enqueue(make_request(priority=1, enq=10, ds_id=3))
+        order = []
+        while True:
+            request, _wait = sched.pop_ready(make_banks(), 100)
+            if request is None:
+                break
+            order.append(request.ds_id)
+        assert order == [2, 3, 1]  # enqueue order within a priority
+        assert sched.occupancy == 0
+
+    def test_busy_head_blocks_lower_priority(self):
+        sched = PriorityFrFcfsScheduler(2)
+        banks = make_banks()
+        banks[1].ready_at_ps = 500
+        sched.enqueue(make_request(bank=0, priority=0, ds_id=1))
+        sched.enqueue(make_request(bank=1, priority=1, ds_id=2))
+        assert sched.pop_ready(banks, 100) == (None, 500)
+        assert sched.occupancy == 2
+        request, wait = sched.pop_ready(banks, 500)
+        assert (request.ds_id, wait) == (2, 0)
 
 
 class TestFrFcfs:

@@ -6,7 +6,7 @@ occupancy accounting consistency, capacity bounds, way-mask confinement
 and request conservation.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tests.helpers import FakeMemory
 from repro.cache.cache import Cache, CacheConfig
@@ -122,3 +122,81 @@ def test_writeback_owners_are_writers(accesses):
         engine.run()
     for packet in memory.requests_of(op=MemOp.WRITEBACK):
         assert packet.owner_ds_id in writers
+
+
+# -- the tag array's index and free-way views -------------------------------
+
+STEP = st.one_of(
+    st.tuples(st.just("access"), st.integers(1, 3), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("flush"), st.integers(1, 3)),
+    # Run for a while (fills take 10 ns) or until the queue drains.
+    st.tuples(st.just("run"), st.sampled_from([1_000, 4_000, 12_000, None])),
+)
+MASK_SETS = st.sampled_from([
+    None,                              # everyone shares all ways
+    {1: 0b0001, 2: 0b0110, 3: 0b1000},  # disjoint
+    {1: 0b0001, 2: 0b0001, 3: 0b0011},  # narrow and overlapping
+])
+
+
+def assert_tag_views_match_lines(cache):
+    """Each set's index and free mask agree with a scan of its lines."""
+    for set_index, cache_set in cache._sets.items():
+        valid = [(way, line) for way, line in enumerate(cache_set.lines) if line.valid]
+        pairs = [(line.tag, line.ds_id) for _way, line in valid]
+        assert len(set(pairs)) == len(pairs), f"set {set_index}: duplicate (tag, ds_id)"
+        assert cache_set.index == {
+            (line.tag << 16) | line.ds_id: way for way, line in valid
+        }, f"set {set_index}: index out of step with the lines"
+        assert cache_set.free == sum(
+            1 << way for way, line in enumerate(cache_set.lines)
+            if not line.valid and line.tag == 0
+        ), f"set {set_index}: free mask out of step with the lines"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STEP, min_size=1, max_size=150), MASK_SETS)
+@example(
+    # DS-ids 1 and 2 may only use way 0: 2's fill reserves the way 1's
+    # fill is still heading for, 1's line lands and is flushed, then 2's
+    # fill lands on a way the flush had marked free.
+    steps=[
+        ("access", 1, 0, False), ("run", 4_000), ("access", 2, 4, False),
+        ("run", 4_000), ("run", 4_000), ("flush", 1), ("run", None),
+    ],
+    masks={1: 0b0001, 2: 0b0001, 3: 0b0011},
+)
+def test_index_and_free_mask_track_the_lines(steps, masks):
+    """Accesses issued back to back (so fills overlap and narrow masks
+    land fills on reserved ways), writes, partial runs, and flushes mixed
+    in at any point: the per-set views stay exact, and every access
+    completes."""
+    engine = Engine()
+    control = LlcControlPlane(engine, num_ways=4)
+    for ds_id in (1, 2, 3):
+        overrides = {"waymask": masks[ds_id]} if masks else {}
+        control.allocate_ldom(ds_id, **overrides)
+    clock = ClockDomain(engine, CPU_CLOCK_PS)
+    memory = FakeMemory(engine, latency_ps=10_000)
+    config = CacheConfig("c", size_bytes=4 * 4 * 64, ways=4)
+    cache = Cache(engine, clock, config, memory, control=control)
+    issued, completed = 0, []
+    for step in steps:
+        if step[0] == "access":
+            _kind, ds_id, line, is_write = step
+            pkt = MemoryPacket(
+                ds_id=ds_id, addr=line * 64,
+                op=MemOp.WRITE if is_write else MemOp.READ,
+            )
+            cache.handle_request(pkt, completed.append)
+            issued += 1
+        elif step[0] == "flush":
+            cache.flush_dsid(step[1])
+        elif step[1] is None:
+            engine.run()
+        else:
+            engine.run_for(step[1])
+        assert_tag_views_match_lines(cache)
+    engine.run()
+    assert_tag_views_match_lines(cache)
+    assert len(completed) == issued

@@ -68,6 +68,17 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             rec.percentile(101)
 
+    def test_percentile_range_validated_when_empty(self):
+        with pytest.raises(ValueError):
+            LatencyRecorder().percentile(150)
+
+    def test_cdf_at_points_counts_ties_as_covered(self):
+        rec = LatencyRecorder()
+        rec.extend([1.0, 2.0, 2.0, 4.0])
+        assert rec.cdf(points=[0, 2, 3, 4]) == [
+            (0.0, 0.0), (2.0, 0.75), (3.0, 0.75), (4.0, 1.0)
+        ]
+
     def test_p95_on_uniform_samples(self):
         rec = LatencyRecorder()
         rec.extend(float(i) for i in range(101))  # 0..100
