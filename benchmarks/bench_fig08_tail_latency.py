@@ -17,7 +17,7 @@ reproduction's solo knee maps to 22.5 KRPS; see EXPERIMENTS.md).
 
 from conftest import banner, full_resolution
 
-from repro.analysis.tables import format_table
+from repro.figures import render_fig8
 from repro.system.experiments import run_fig8
 
 
@@ -35,22 +35,7 @@ def test_fig8_tail_latency_curves(benchmark):
     )
 
     banner("Fig. 8: 95th-percentile response time vs load")
-    rows = [
-        [
-            r.mode,
-            f"{r.paper_krps:.1f}",
-            f"{r.p95_ms:.3f}",
-            f"{r.mean_ms:.3f}",
-            f"{r.cpu_utilization * 100:.0f}%",
-            f"{(r.llc_miss_rate or 0) * 100:.1f}%",
-            "yes" if r.trigger_fired else "no",
-        ]
-        for r in results
-    ]
-    print(format_table(
-        ["mode", "paper-KRPS", "p95 ms", "mean ms", "CPU util", "LLC miss", "trigger"],
-        rows,
-    ))
+    render_fig8(results)
 
     by_mode = {}
     for r in results:

@@ -12,6 +12,7 @@ cost of storing owner DS-ids.
 from conftest import banner
 
 from repro.analysis.tables import format_table
+from repro.figures import fig12_rows
 from repro.hwcost.fpga import (
     LLC_CONTROLLER_LUT_FF,
     MIG_CONTROLLER_LUT_FF,
@@ -23,20 +24,8 @@ from repro.hwcost.fpga import (
 )
 
 
-def sweep():
-    rows = []
-    for plane, cost_fn in (("LLC", llc_control_plane_cost), ("Memory", memory_control_plane_cost)):
-        for entries in (64, 128, 256):
-            tables = table_pair_cost(entries, llc_datapath=(plane == "LLC"))
-            rows.append([plane, f"param+stats {entries}", tables.lut, tables.lutram, tables.ff])
-        for triggers in (16, 32, 64):
-            cost = trigger_table_cost(triggers)
-            rows.append([plane, f"trigger {triggers}", cost.lut, cost.lutram, cost.ff])
-    return rows
-
-
 def test_fig12_fpga_resource_sweep(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(fig12_rows, rounds=1, iterations=1)
 
     banner("Fig. 12: FPGA resources (Logic LUT / LUTRAM / FF)")
     print(format_table(["plane", "component", "LUT", "LUTRAM", "FF"], rows))

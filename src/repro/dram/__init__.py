@@ -3,7 +3,7 @@
 - :mod:`repro.dram.timing` -- DDR3-1600 timing/geometry (Table 2)
 - :mod:`repro.dram.bank` -- bank state, including the paper's extra
   high-priority row buffer (§4.2)
-- :mod:`repro.dram.scheduler` -- priority queues + FR-FCFS arbitration
+- :mod:`repro.dram.scheduler` -- priority queues, strict-priority FIFO arbitration
 - :mod:`repro.dram.controller` -- the memory controller component
 - :mod:`repro.dram.control_plane` -- the memory control plane (address
   mapping, scheduling priority, bandwidth/latency statistics, triggers)
@@ -13,7 +13,7 @@ from repro.dram.bank import BankState
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
 from repro.dram.multichannel import MultiChannelMemory
-from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
+from repro.dram.scheduler import PendingRequest, PriorityScheduler
 from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "MemoryController",
     "MultiChannelMemory",
     "PendingRequest",
-    "PriorityFrFcfsScheduler",
+    "PriorityScheduler",
     "decompose_address",
 ]

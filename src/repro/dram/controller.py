@@ -6,13 +6,13 @@ Request flow, mirroring the paper's numbered steps:
    the DS-id's address mapping, scheduling priority and row-buffer policy.
 2. The LDom-physical address is translated to a DRAM address.
 3. The request enters the priority queue selected by its DS-id.
-4. The arbiter issues requests high-priority-first, FR-FCFS within a
+4. The arbiter issues requests high-priority-first, FIFO within a
    priority, subject to bank timing and data-bus availability.
 5. The control plane updates its statistics table (bandwidth, average
    queueing delay, service count) and evaluates triggers at window ticks.
 
 Without a control plane the controller is the Fig. 11 baseline: one
-FR-FCFS queue, no address translation, no priority.
+FIFO queue, no address translation, no priority.
 
 The timing model is command-accurate at the granularity of whole
 accesses: per-bank row state decides hit/closed/conflict latency
@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.core.address import translate_window
 from repro.dram.bank import BankState
-from repro.dram.scheduler import PendingRequest, PriorityFrFcfsScheduler
+from repro.dram.scheduler import PendingRequest, PriorityScheduler
 from repro.dram.timing import DramGeometry, DramTiming, decompose_address
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
@@ -80,11 +80,11 @@ class MemoryController(Component):
                 f"dram.{name}.qdelay_cycles", start=1.0, growth=2.0, count=16
             )
         if control is None:
-            # Fig. 11 baseline: a single queue, plain FR-FCFS.
+            # Fig. 11 baseline: a single FIFO queue.
             priority_levels = 1
             hp_row_buffer = False
         self.hp_row_buffer = hp_row_buffer
-        self.scheduler = PriorityFrFcfsScheduler(priority_levels)
+        self.scheduler = PriorityScheduler(priority_levels)
         self._top_priority = priority_levels - 1
         self.banks = [
             BankState(i, hp_row_buffer=hp_row_buffer)

@@ -1,16 +1,12 @@
-"""Memory request scheduling: priority queues + FR-FCFS.
+"""Memory request scheduling: priority queues with strict-priority arbitration.
 
 PARD's memory control plane adds *priority queueing* in front of the
 DRAM scheduler (Fig. 5): requests are steered into per-priority queues by
-their DS-id's priority parameter, and the arbiter picks from the highest
-non-empty priority first, applying FR-FCFS (first-ready = row-buffer hit
-first, then oldest first [Rixner et al., ISCA'00]) within the chosen
-queue. With a single priority level this degrades to plain FR-FCFS,
-which is the baseline ("w/o control plane") configuration of Fig. 11.
-
-The memory controller arbitrates with :meth:`PriorityFrFcfsScheduler.pop_ready`:
-strict priority over FIFO queue heads (see ``MemoryController._pump``).
-:meth:`PriorityFrFcfsScheduler.select` is the FR-FCFS variant.
+their DS-id's priority parameter, and the arbiter serves the head of the
+highest non-empty queue first, FIFO within a queue
+(:meth:`PriorityScheduler.pop_ready`, called from
+``MemoryController._pump``). With a single priority level this is one
+FIFO queue, the baseline ("w/o control plane") configuration of Fig. 11.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ class PendingRequest:
     issued_at_ps: Optional[int] = field(default=None)
 
 
-class PriorityFrFcfsScheduler:
-    """Bounded set of priority queues with FR-FCFS selection."""
+class PriorityScheduler:
+    """Bounded set of FIFO priority queues with strict-priority arbitration."""
 
     def __init__(self, priority_levels: int = 2):
         if priority_levels <= 0:
@@ -69,14 +65,6 @@ class PriorityFrFcfsScheduler:
         self._queues[request.priority].append(request)
         self.total_enqueued += 1
 
-    def requeue(self, request: PendingRequest) -> None:
-        """Return a selected-but-not-issued request to its queue.
-
-        FR-FCFS ordering is by enqueue timestamp, so the position in the
-        backing list does not matter.
-        """
-        self._queues[request.priority].append(request)
-
     def pop_ready(
         self, banks: list[BankState], now_ps: int
     ) -> tuple[Optional[PendingRequest], int]:
@@ -97,47 +85,3 @@ class PriorityFrFcfsScheduler:
                 del queue[0]
                 return head, 0
         return None, 0
-
-    def select(self, banks: list[BankState], now_ps: int) -> Optional[PendingRequest]:
-        """Pick (and remove) the next request to issue, or None.
-
-        Highest priority queue first; within a queue, FR-FCFS restricted
-        to requests whose bank can accept a command now.
-        """
-        for priority in range(self.priority_levels - 1, -1, -1):
-            queue = self._queues[priority]
-            if not queue:
-                continue
-            chosen = self._fr_fcfs(queue, banks, now_ps)
-            if chosen is not None:
-                queue.remove(chosen)
-                return chosen
-        return None
-
-    def next_bank_ready_ps(self, banks: list[BankState], now_ps: int) -> Optional[int]:
-        """Earliest future time any queued request's bank becomes ready."""
-        earliest: Optional[int] = None
-        for queue in self._queues:
-            for request in queue:
-                ready = banks[request.bank_index].ready_at_ps
-                candidate = max(ready, now_ps)
-                if earliest is None or candidate < earliest:
-                    earliest = candidate
-        return earliest
-
-    @staticmethod
-    def _fr_fcfs(
-        queue: list[PendingRequest], banks: list[BankState], now_ps: int
-    ) -> Optional[PendingRequest]:
-        first_ready: Optional[PendingRequest] = None
-        oldest: Optional[PendingRequest] = None
-        for request in queue:
-            bank = banks[request.bank_index]
-            if bank.ready_at_ps > now_ps:
-                continue  # the bank cannot take a command yet
-            if bank.row_state(request.row) == "hit":
-                if first_ready is None or request.enqueued_at_ps < first_ready.enqueued_at_ps:
-                    first_ready = request
-            if oldest is None or request.enqueued_at_ps < oldest.enqueued_at_ps:
-                oldest = request
-        return first_ready if first_ready is not None else oldest

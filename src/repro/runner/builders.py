@@ -1,4 +1,4 @@
-"""Stock sweep-point builders: one per experiment driver.
+"""Stock sweep-point builders: one per kind of simulation point.
 
 Each builder reconstructs an experiment from a :class:`SweepPoint`'s
 picklable params -- dataclass setups travel as ``asdict`` dicts -- runs
@@ -17,10 +17,8 @@ from repro.system.experiments import (
     ColocationSetup,
     run_colocation_point,
     run_fig7,
-    run_fig8,
     run_fig9,
     run_fig10,
-    run_fig11,
     run_fig11_controller_point,
 )
 
@@ -55,20 +53,6 @@ def build_fig7(point, telemetry):
     )
 
 
-@register_builder("fig8")
-def build_fig8(point, telemetry):
-    """The whole Fig. 8 grid as one job (run serially inside the worker)."""
-    params = point.params
-    return run_fig8(
-        loads_rps=params.get("loads_rps"),
-        modes=tuple(params.get("modes", ("solo", "shared", "trigger"))),
-        setup=_setup_from(params),
-        measure_ms=params.get("measure_ms", 2.5),
-        telemetry=telemetry,
-        jobs=1,
-    )
-
-
 @register_builder("fig9")
 def build_fig9(point, telemetry):
     params = point.params
@@ -91,21 +75,6 @@ def build_fig10(point, telemetry):
         sample_ms=params.get("sample_ms", 20.0),
         block_bytes=params.get("block_bytes", 4 << 20),
         telemetry=telemetry,
-    )
-
-
-@register_builder("fig11")
-def build_fig11(point, telemetry):
-    """The whole Fig. 11 comparison as one job (serial inside the worker)."""
-    params = point.params
-    return run_fig11(
-        inject_rate=params.get("inject_rate", 0.75),
-        num_requests=params.get("num_requests", 6000),
-        seed=point.seed or params.get("seed", 7),
-        row_hit_fraction=params.get("row_hit_fraction", 0.5),
-        hp_row_buffer=params.get("hp_row_buffer", False),
-        telemetry=telemetry,
-        jobs=1,
     )
 
 

@@ -5,7 +5,7 @@ A sweep point travels to worker processes as a picklable spec -- builder
 resolve the name back to a callable through this registry, so a spec is
 valid in any process that can import the repo.
 
-The stock builders (one per experiment driver) live in
+The stock builders (one per kind of simulation point) live in
 :mod:`repro.runner.builders`, imported lazily on first resolution to
 keep this module dependency-free (it is imported by the sweep core,
 which the experiment drivers themselves import). Tests and downstream

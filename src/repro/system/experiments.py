@@ -512,6 +512,18 @@ class QueueingResult:
     high_cdf: list[tuple[float, float]]
     low_cdf: list[tuple[float, float]]
 
+    @classmethod
+    def from_points(cls, baseline: dict, pard: dict) -> "QueueingResult":
+        """Merge the two :func:`run_fig11_controller_point` values."""
+        return cls(
+            baseline_mean_cycles=baseline["mean"][0],
+            high_priority_mean_cycles=pard["mean"][1],
+            low_priority_mean_cycles=pard["mean"][0],
+            baseline_cdf=baseline["cdf"][0],
+            high_cdf=pard["cdf"][1],
+            low_cdf=pard["cdf"][0],
+        )
+
     @property
     def high_priority_speedup(self) -> float:
         if self.high_priority_mean_cycles == 0:
@@ -632,11 +644,57 @@ def measure_saturation_rate(
     num_requests: int = 4000, seed: int = 7, row_hit_fraction: float = 0.5
 ) -> float:
     """The baseline controller's saturation throughput (requests/cycle)."""
+    if num_requests <= 0:
+        raise ValueError("num_requests must be positive")
     controller = _drive_controller(
         False, None, num_requests, seed, row_hit_fraction, hp_row_buffer=False
     )
     cycles = controller.engine.now / DRAM_CLOCK_PS
     return num_requests / cycles
+
+
+def fig11_sweep_points(
+    inject_rate: float = 0.75,
+    num_requests: int = 6000,
+    seed: int = 7,
+    row_hit_fraction: float = 0.5,
+    hp_row_buffer: bool = False,
+    first_index: int = 0,
+) -> list:
+    """Fig. 11's two controller configurations as picklable sweep points.
+
+    Runs the saturation probe here, in the caller's process: both points
+    inject at ``inject_rate`` of the measured saturation rate.
+    """
+    if not 0 < inject_rate < 1:
+        raise ValueError("inject_rate must be a fraction of peak bandwidth")
+    if num_requests <= 0:
+        raise ValueError("num_requests must be positive")
+    from repro.runner.sweep import SweepPoint
+
+    saturation = measure_saturation_rate(
+        num_requests=min(num_requests, 4000), seed=seed,
+        row_hit_fraction=row_hit_fraction,
+    )
+    common = {
+        "rate_req_per_cycle": inject_rate * saturation,
+        "num_requests": num_requests,
+        "row_hit_fraction": row_hit_fraction,
+    }
+    return [
+        SweepPoint(
+            index=first_index, builder="fig11_controller",
+            params={**common, "with_control_plane": False,
+                    "hp_row_buffer": False},
+            seed=seed, label="fig11-baseline",
+        ),
+        SweepPoint(
+            index=first_index + 1, builder="fig11_controller",
+            params={**common, "with_control_plane": True,
+                    "hp_row_buffer": hp_row_buffer},
+            seed=seed, label="fig11-pard",
+        ),
+    ]
 
 
 def run_fig11(
@@ -662,42 +720,11 @@ def run_fig11(
     15.2 cycles; the paper quotes its own inject rate as 0.44 of its
     RTL's peak (see EXPERIMENTS.md for the calibration discussion).
     """
-    if not 0 < inject_rate < 1:
-        raise ValueError("inject_rate must be a fraction of peak bandwidth")
-    from repro.runner.sweep import SweepPoint, run_sweep
+    from repro.runner.sweep import run_sweep
 
-    saturation = measure_saturation_rate(
-        num_requests=min(num_requests, 4000), seed=seed,
-        row_hit_fraction=row_hit_fraction,
+    points = fig11_sweep_points(
+        inject_rate, num_requests, seed, row_hit_fraction, hp_row_buffer
     )
-    rate = inject_rate * saturation
-    common = {
-        "rate_req_per_cycle": rate,
-        "num_requests": num_requests,
-        "row_hit_fraction": row_hit_fraction,
-    }
-    points = [
-        SweepPoint(
-            index=0, builder="fig11_controller",
-            params={**common, "with_control_plane": False,
-                    "hp_row_buffer": False},
-            seed=seed, label="fig11-baseline",
-        ),
-        SweepPoint(
-            index=1, builder="fig11_controller",
-            params={**common, "with_control_plane": True,
-                    "hp_row_buffer": hp_row_buffer},
-            seed=seed, label="fig11-pard",
-        ),
-    ]
     sweep = run_sweep(points, jobs=jobs, telemetry=telemetry)
     sweep.raise_on_failure()
-    baseline, pard = sweep.values()
-    return QueueingResult(
-        baseline_mean_cycles=baseline["mean"][0],
-        high_priority_mean_cycles=pard["mean"][1],
-        low_priority_mean_cycles=pard["mean"][0],
-        baseline_cdf=baseline["cdf"][0],
-        high_cdf=pard["cdf"][1],
-        low_cdf=pard["cdf"][0],
-    )
+    return QueueingResult.from_points(*sweep.values())

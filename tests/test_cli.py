@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
+from repro.figures import FIGURES, Figure
+from repro.runner import SweepPoint, builder_names
 
 
 class TestParser:
@@ -46,3 +49,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "final waymask" in out
         assert "trigger" in out
+
+
+class TestFigureTable:
+    def test_default_points_name_registered_builders(self):
+        names = set(builder_names())
+        assert not {"fig8", "fig11"} & names  # whole-figure builders are gone
+        for figure in FIGURES:
+            for point in figure.sweep_points(figure.defaults()):
+                assert point.builder in names, (figure.name, point.builder)
+
+    def test_all_keeps_going_past_failed_figures(self, capsys, monkeypatch):
+        def unbuildable(_options, _first_index):
+            raise RuntimeError("no points")
+
+        def unknown_builder(_options, first_index):
+            return [SweepPoint(index=first_index, builder="no_such_builder",
+                               params={}, label="lost")]
+
+        table2, fig12 = FIGURES[0], FIGURES[-1]
+        monkeypatch.setattr(cli, "FIGURES", (
+            table2,
+            Figure("unbuildable", "", merge=list, render=print, points=unbuildable),
+            Figure("pointless", "", merge=list, render=print, points=unknown_builder),
+            fig12,
+        ))
+        assert main(["all", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "=== fig12" in captured.out and "1526" in captured.out
+        summary = captured.out.split("=== summary")[1].splitlines()
+        status = {line.split()[0]: line.split()[1] for line in summary[3:] if line}
+        assert status == {"table2": "ok", "unbuildable": "FAILED",
+                          "pointless": "FAILED", "fig12": "ok"}
+        assert "1/1 points failed" in captured.out
+        assert "[unbuildable] failed: RuntimeError: no points" in captured.err

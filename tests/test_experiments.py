@@ -108,3 +108,9 @@ class TestFig11Queueing:
     def test_invalid_inject_rate(self):
         with pytest.raises(ValueError):
             run_fig11(inject_rate=1.5)
+
+    def test_zero_requests_rejected(self):
+        with pytest.raises(ValueError):
+            run_fig11(num_requests=0)
+        with pytest.raises(ValueError):
+            measure_saturation_rate(num_requests=0)
