@@ -67,6 +67,14 @@ class CacheConfig:
 
 
 class _Line:
+    """One way of the tag array.
+
+    ``tag`` holds the line's block number (address >> line_shift): the
+    address tag with the set bits kept, so the index key and the
+    write-back address are one shift each. -1 marks a way reserved for
+    a fill.
+    """
+
     __slots__ = ("tag", "ds_id", "valid", "dirty")
 
     def __init__(self) -> None:
@@ -84,6 +92,8 @@ class _Set:
     ``free`` has bit ``w`` set while way ``w`` is invalid with tag 0
     (never filled, or flushed), the ways a fill takes before PLRU is
     consulted. Every write to a line's tag or valid bit updates both.
+    Sets are created on first access and never deleted, so a pending
+    lookup or fill may hold on to one.
     """
 
     __slots__ = ("lines", "plru", "index", "free")
@@ -93,11 +103,6 @@ class _Set:
         self.plru = WayMaskedPlru(ways)
         self.index: dict[int, int] = {}
         self.free = (1 << ways) - 1
-
-
-def _lowest_way(ways: int) -> int:
-    """The lowest way whose bit is set in the non-zero mask ``ways``."""
-    return (ways & -ways).bit_length() - 1
 
 
 class Cache(Component):
@@ -122,18 +127,17 @@ class Cache(Component):
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
         self._sets: dict[int, _Set] = {}
-        self._reserved_slots: dict[tuple[int, int], int] = {}
         self.mshrs = MshrFile(config.mshr_entries)
         self.writebacks = WritebackBuffer(config.writeback_entries)
-        # Power-of-two geometry: address = ((tag << set_shift) | set) << line_shift.
+        # Power-of-two geometry: block = address >> line_shift, and the
+        # block's low bits select the set.
         self._line_shift = config.line_size.bit_length() - 1
         self._set_mask = config.num_sets - 1
-        self._set_shift = self._set_mask.bit_length()
         self._full_mask = (1 << config.ways) - 1
         self._hit_ps = config.hit_latency_cycles * clock.period_ps
-        # Plain counters for caches without a control plane (the L1s).
+        # Plain hit counter for caches without a control plane (the L1s);
+        # misses are counted by the MSHR file (see total_misses).
         self.total_hits = 0
-        self.total_misses = 0
         if self.telemetry is not None:
             # Callback gauges over the plain counters: zero hot-path cost,
             # read only at snapshot time.
@@ -148,9 +152,10 @@ class Cache(Component):
 
     def handle_request(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
         """Accept a tagged cache access; respond after the modeled latency."""
-        self.clock.post_cycles(
-            self.config.hit_latency_cycles, lambda: self._lookup(packet, on_response)
-        )
+        block = packet.addr >> self._line_shift
+        set_index = block & self._set_mask
+        cache_set = self._sets.get(set_index) or self._new_set(set_index)
+        self._post_lookup(self.config.hit_latency_cycles, packet, on_response, cache_set, block)
 
     def access(self, packet: MemoryPacket, on_response: ResponseCallback) -> Optional[int]:
         """Fast-path entry: a hit completes synchronously.
@@ -164,9 +169,12 @@ class Cache(Component):
         block = packet.addr >> self._line_shift
         set_index = block & self._set_mask
         cache_set = self._sets.get(set_index) or self._new_set(set_index)
-        way = cache_set.index.get(((block >> self._set_shift) << 16) | packet.ds_id)
+        way = cache_set.index.get((block << 16) | packet.ds_id)
         if way is None:
-            self.handle_request(packet, on_response)
+            # handle_request's event, posted without decoding again.
+            self._post_lookup(
+                self.config.hit_latency_cycles, packet, on_response, cache_set, block
+            )
             return None
         cache_set.plru.touch(way)
         if packet.op is not _READ:
@@ -178,98 +186,130 @@ class Cache(Component):
             packet.span.hop(f"{self.name}.hit", self.engine.now + self._hit_ps)
         return self._hit_ps
 
-    def _lookup(self, packet: MemoryPacket, on_response: ResponseCallback) -> None:
-        block = packet.addr >> self._line_shift
-        set_index = block & self._set_mask
-        cache_set = self._sets.get(set_index) or self._new_set(set_index)
-        tag = block >> self._set_shift
-        way = cache_set.index.get((tag << 16) | packet.ds_id)
-        if way is None:
-            self._on_miss(
-                cache_set, set_index, tag, block << self._line_shift, packet, on_response
-            )
-            return
-        cache_set.plru.touch(way)
-        if packet.op is not _READ:
-            cache_set.lines[way].dirty = True
-        self.total_hits += 1
-        if self.control is not None:
-            self.control.record_access(packet.ds_id, True)
-        if packet.span is not None:
-            packet.span.hop(f"{self.name}.hit", self.engine.now)
-        on_response(packet)
-
-    def _on_miss(
-        self, cache_set: _Set, set_index: int, tag: int, line_addr: int, packet, on_response
+    def _lookup(
+        self, packet: MemoryPacket, on_response: ResponseCallback,
+        cache_set: _Set, block: int,
     ) -> None:
+        """The posted tag check, and on a miss everything up to the fill.
+
+        The line is looked up again (a fill may have landed since the
+        request arrived). A miss allocates or merges into an MSHR, and a
+        primary miss picks and evicts the victim and sends the fill
+        downstream. A full MSHR file retries this same step after
+        ``retry_cycles``; the miss is counted once, when the MSHR file
+        accepts it.
+        """
         ds_id = packet.ds_id
+        key = (block << 16) | ds_id
+        way = cache_set.index.get(key)
+        if way is not None:
+            cache_set.plru.touch(way)
+            if packet.op is not _READ:
+                cache_set.lines[way].dirty = True
+            self.total_hits += 1
+            if self.control is not None:
+                self.control.record_access(ds_id, True)
+            if packet.span is not None:
+                packet.span.hop(f"{self.name}.hit", self.engine.now)
+            on_response(packet)
+            return
         now = self.engine.now
-        self.total_misses += 1
-        if self.control is not None:
-            self.control.record_access(ds_id, False)
-        if packet.span is not None:
-            packet.span.hop(f"{self.name}.miss", now)
+        line_addr = block << self._line_shift
         try:
-            _entry, is_primary = self.mshrs.allocate(
-                line_addr, ds_id, now, packet.op is not _READ,
-                lambda: on_response(packet),
+            entry, is_primary = self.mshrs.allocate(
+                line_addr, ds_id, now, packet.op is not _READ, on_response, packet
             )
         except MshrFullError:
-            # Structural stall: retry the lookup after a short back-off.
-            self.clock.post_cycles(
-                self.config.retry_cycles, lambda: self._lookup(packet, on_response)
-            )
+            # Structural stall: try the same lookup again after a back-off.
+            self._post_lookup(self.config.retry_cycles, packet, on_response, cache_set, block)
             return
+        control = self.control
+        if control is not None:
+            control.record_access(ds_id, False)
+        if packet.span is not None:
+            packet.span.hop(f"{self.name}.miss", now)
         if not is_primary:
             return  # merged into an in-flight fill
-        self._evict_victim(cache_set, set_index, line_addr, ds_id)
-        fill = MemoryPacket(
-            ds_id=ds_id,
-            addr=line_addr,
-            size=self.config.line_size,
-            op=_READ,
-            birth_ps=now,
-            # The fill inherits the missing request's span, so the trail
-            # continues downstream (LLC, crossbar, DRAM).
-            span=packet.span,
-        )
-        fill_done = lambda _resp=None: self._on_fill(set_index, tag, line_addr, ds_id)
-        sync_latency = self.downstream.access(fill, fill_done)
-        if sync_latency is not None:
-            self.engine.post(sync_latency, fill_done)
-
-    def _evict_victim(self, cache_set: _Set, set_index: int, line_addr: int, ds_id: int) -> None:
-        """Select and evict the victim for an incoming fill.
-
-        The victim way is chosen under the requester's way mask (from the
-        control plane's parameter table): the lowest free way if there is
-        one, else the PLRU victim. The slot is reserved (tag -1, so
-        neither valid nor free) so concurrent misses to the same set pick
-        different ways. The reservation key is the MSHR key ``(line_addr,
-        ds_id)``, which is unique because only primary misses reach this
-        point.
-        """
-        mask = self._full_mask
-        if self.control is not None:
-            mask &= self.control.waymask(ds_id)
+        # The victim is chosen under the requester's way mask (from the
+        # control plane's parameter table): the lowest free way if there
+        # is one, else the PLRU victim. The slot is reserved (tag -1, so
+        # neither valid nor free) so concurrent misses to the same set
+        # pick different ways.
+        if control is None:
+            mask = self._full_mask
+        else:
+            mask = self._full_mask & control.waymask(ds_id)
         free = cache_set.free & mask
-        way = _lowest_way(free) if free else cache_set.plru.victim(mask)
+        if free:
+            way = (free & -free).bit_length() - 1
+            cache_set.free &= ~(1 << way)
+        else:
+            way = cache_set.plru.victim(mask)  # a way of mask: not free
         victim = cache_set.lines[way]
-        if victim.valid:
+        if victim.valid:  # _evict, inlined: most misses evict
             del cache_set.index[(victim.tag << 16) | victim.ds_id]
-            if self.control is not None:
-                self.control.record_eviction(victim.ds_id)
-            if victim.dirty:
-                self._write_back(set_index, victim)
             victim.valid = False
-        # Reserve the slot for this fill.
+            if control is not None:
+                control.record_eviction(victim.ds_id)
+            if victim.dirty:
+                self._write_back(victim)
         victim.tag = -1
-        cache_set.free &= ~(1 << way)
         cache_set.plru.touch(way)
-        self._reserved_slots[(line_addr, ds_id)] = way
 
-    def _write_back(self, set_index: int, victim: _Line) -> None:
-        line_addr = ((victim.tag << self._set_shift) | set_index) << self._line_shift
+        def filled(_resp=None) -> None:
+            """The fill is back: wake the MSHR waiters, then install the
+            line in the way reserved for it. (A closure over this miss's
+            set, block and way, so the fill needs no record of its own.)"""
+            self.mshrs.complete(line_addr, ds_id)
+            line = cache_set.lines[way]
+            if line.valid:
+                # A concurrent fill landed in the reserved way (possible when
+                # a narrow way mask forces PLRU onto a reserved slot).
+                self._evict(cache_set, line)
+            line.tag = block
+            line.ds_id = ds_id
+            line.valid = True
+            line.dirty = entry.is_write
+            cache_set.index[key] = way
+            if cache_set.free:
+                # Normally already clear (the way was reserved), but a flush
+                # may have freed it after a concurrent fill landed here.
+                cache_set.free &= ~(1 << way)
+            cache_set.plru.touch(way)
+            if self.control is not None:
+                self.control.record_fill(ds_id)
+
+        # The fill inherits the missing request's span, so the trail
+        # continues downstream (LLC, crossbar, DRAM).
+        fill = MemoryPacket(ds_id, now, None, packet.span, line_addr, self.config.line_size)
+        sync_latency = self.downstream.access(fill, filled)
+        if sync_latency is not None:
+            self.engine.post(sync_latency, filled)
+
+    def _post_lookup(
+        self, cycles: int, packet: MemoryPacket, on_response: ResponseCallback,
+        cache_set: _Set, block: int,
+    ) -> None:
+        """Post the tag check of ``packet`` ``cycles`` after the next clock
+        edge, with the set and block its address decoded to. (Kept out of
+        ``_lookup`` so that its packet and callback need no closure cells
+        on the common path.)"""
+        self.clock.post_cycles(
+            cycles, lambda: self._lookup(packet, on_response, cache_set, block)
+        )
+
+    def _evict(self, cache_set: _Set, line: _Line) -> None:
+        """Invalidate a valid line for reuse of its way: drop it from the
+        set's index, charge its owner and write it back if dirty."""
+        del cache_set.index[(line.tag << 16) | line.ds_id]
+        line.valid = False
+        if self.control is not None:
+            self.control.record_eviction(line.ds_id)
+        if line.dirty:
+            self._write_back(line)
+
+    def _write_back(self, victim: _Line) -> None:
+        line_addr = victim.tag << self._line_shift
         now = self.engine.now
         entry = self.writebacks.push(line_addr, victim.ds_id, now)
         if self.tracer.enabled:
@@ -290,33 +330,6 @@ class Cache(Component):
         )
         self.downstream.handle_request(packet, lambda _resp: None)
 
-    def _on_fill(self, set_index: int, tag: int, line_addr: int, ds_id: int) -> None:
-        """Install the returned line in its reserved way and wake the MSHR
-        waiters."""
-        cache_set = self._sets[set_index]
-        way = self._reserved_slots.pop((line_addr, ds_id))
-        entry = self.mshrs.complete(line_addr, ds_id)
-        line = cache_set.lines[way]
-        if line.valid:
-            # A concurrent fill landed in our reserved way (possible when a
-            # narrow way mask forces PLRU onto a reserved slot); evict it.
-            del cache_set.index[(line.tag << 16) | line.ds_id]
-            if self.control is not None:
-                self.control.record_eviction(line.ds_id)
-            if line.dirty:
-                self._write_back(set_index, line)
-        line.tag = tag
-        line.ds_id = ds_id
-        line.valid = True
-        line.dirty = entry.is_write
-        cache_set.index[(tag << 16) | ds_id] = way
-        # Normally already clear (the way was reserved), but a flush may
-        # have freed it after a concurrent fill landed here.
-        cache_set.free &= ~(1 << way)
-        cache_set.plru.touch(way)
-        if self.control is not None:
-            self.control.record_fill(ds_id)
-
     def _new_set(self, set_index: int) -> _Set:
         """Create and register a set on its first access (sets are
         allocated lazily); callers first check that it does not exist."""
@@ -334,11 +347,11 @@ class Cache(Component):
         serving stale data to) a later tenant.
         """
         flushed = 0
-        for set_index, cache_set in self._sets.items():
+        for cache_set in self._sets.values():
             for way, line in enumerate(cache_set.lines):
                 if line.valid and line.ds_id == ds_id:
                     if line.dirty:
-                        self._write_back(set_index, line)
+                        self._write_back(line)
                     del cache_set.index[(line.tag << 16) | ds_id]
                     line.valid = False
                     line.tag = 0
@@ -360,6 +373,12 @@ class Cache(Component):
                 if line.valid and line.ds_id == ds_id:
                     count += 1
         return count
+
+    @property
+    def total_misses(self) -> int:
+        """Misses the MSHR file accepted: each one allocates or merges
+        exactly once, however often a full MSHR file made it retry."""
+        return self.mshrs.primary_misses + self.mshrs.secondary_misses
 
     @property
     def miss_rate(self) -> float:

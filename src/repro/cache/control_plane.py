@@ -82,17 +82,19 @@ class LlcControlPlane(ControlPlane):
     # -- accounting (hardware side, off the critical path) ----------------------
 
     def record_access(self, ds_id: int, hit: bool) -> None:
-        if hit:
-            self._window(self._window_hits, ds_id).add(1)
-        else:
-            self._window(self._window_misses, ds_id).add(1)
+        table = self._window_hits if hit else self._window_misses
+        rate = table.get(ds_id)
+        if rate is None:
+            rate = self._window(table, ds_id)
+        rate.current += 1  # WindowedRate.add(1), inlined: every LLC access
 
     def record_fill(self, ds_id: int) -> None:
         self._occupancy[ds_id] = self._occupancy.get(ds_id, 0) + 1
 
     def record_eviction(self, owner_ds_id: int) -> None:
         count = self._occupancy.get(owner_ds_id, 0)
-        self._occupancy[owner_ds_id] = max(0, count - 1)
+        if count > 0:
+            self._occupancy[owner_ds_id] = count - 1
 
     def occupancy_bytes(self, ds_id: int) -> int:
         return self._occupancy.get(ds_id, 0) * self._line_size

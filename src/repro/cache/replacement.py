@@ -23,15 +23,17 @@ def mask_ways(mask: int, num_ways: int) -> list[int]:
 
 
 @cache
-def _tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _tables(num_ways: int) -> tuple[dict[int, int], dict[int, int], tuple[int, ...]]:
     """Bit masks for a tree over ``num_ways`` leaves, built once per size.
 
     ``keep[w]`` clears the bits of the internal nodes on way ``w``'s path
     to the root and ``point[w]`` sets the ones that must read 1 so every
-    node on the path points away from ``w``. ``leaves[n]`` is the way
-    mask covered by the subtree rooted at node ``n``.
+    node on the path points away from ``w``; both are dicts keyed by the
+    valid ways only, so a lookup doubles as the way range check.
+    ``leaves[n]`` is the way mask covered by the subtree rooted at node
+    ``n``.
     """
-    keep, point = [], []
+    keep, point = {}, {}
     for way in range(num_ways):
         path = ones = 0
         node = num_ways + way
@@ -41,14 +43,14 @@ def _tables(num_ways: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
             if not node & 1:  # a left child: the parent points right
                 ones |= 1 << parent
             node = parent
-        keep.append(~path)
-        point.append(ones)
+        keep[way] = ~path
+        point[way] = ones
     leaves = [0] * (2 * num_ways)
     for way in range(num_ways):
         leaves[num_ways + way] = 1 << way
     for node in range(num_ways - 1, 0, -1):
         leaves[node] = leaves[2 * node] | leaves[2 * node + 1]
-    return tuple(keep), tuple(point), tuple(leaves)
+    return keep, point, tuple(leaves)
 
 
 class WayMaskedPlru:
@@ -74,9 +76,10 @@ class WayMaskedPlru:
 
     def touch(self, way: int) -> None:
         """Record an access to ``way``, making it most recently used."""
-        if not 0 <= way < self.num_ways:
-            raise ValueError(f"way {way} out of range for {self.num_ways} ways")
-        self.bits = (self.bits & self._keep[way]) | self._point[way]
+        try:
+            self.bits = (self.bits & self._keep[way]) | self._point[way]
+        except KeyError:
+            raise ValueError(f"way {way} out of range for {self.num_ways} ways") from None
 
     def victim(self, mask: int | None = None) -> int:
         """Choose the victim way, restricted to ``mask`` (default: all)."""

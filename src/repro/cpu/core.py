@@ -210,7 +210,7 @@ class CpuCore(Component):
             MemoryPacket(
                 addr=addr,
                 op=MemOp.WRITE if is_store else MemOp.READ,
-                birth_ps=self.now,
+                birth_ps=self.engine.now,
             )
         )
         if self.telemetry is not None:

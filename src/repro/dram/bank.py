@@ -42,14 +42,13 @@ class BankState:
         A high-priority access that misses while a regular row is open
         can activate into the extra row buffer without precharging the
         regular row first (when the buffer is present), turning a
-        conflict into a closed-bank access.
+        conflict into a closed-bank access. The latency identifies the
+        row state (:meth:`row_state`) that produced it, so
+        :meth:`record_access` can take it instead of comparing rows again.
         """
-        state = self.row_state(row)
-        if state == "hit":
+        if row == self.open_row or (self.hp_row_buffer and row == self.hp_open_row):
             return timing.row_hit_latency
-        if state == "closed":
-            return timing.row_closed_latency
-        if high_priority and self.hp_row_buffer:
+        if self.open_row is None or (high_priority and self.hp_row_buffer):
             return timing.row_closed_latency
         return timing.row_conflict_latency
 
@@ -61,17 +60,19 @@ class BankState:
         timing: DramTiming,
         cycle_ps: int,
         high_priority: bool,
+        latency_cycles: int,
     ) -> int:
         """Update row-buffer/timing state after scheduling an access.
 
-        Returns the (possibly tRAS-extended) completion time.
+        ``latency_cycles`` is the access's :meth:`access_latency_cycles`,
+        computed before any state changed. Returns the (possibly
+        tRAS-extended) completion time.
         """
-        state = self.row_state(row)
-        if state != "hit":
+        if latency_cycles != timing.row_hit_latency:
             if high_priority and self.hp_row_buffer:
                 self.hp_open_row = row
             else:
-                if state == "conflict":
+                if latency_cycles == timing.row_conflict_latency:
                     # Respect tRAS: the old row must have been active long
                     # enough before we precharge it.
                     min_precharge = self.activated_at_ps + timing.t_ras * cycle_ps

@@ -26,6 +26,17 @@ from repro.sim.trace import NULL_TRACER, Tracer
 LATENCY_SCALE = 100  # avg_qlat is stored in hundredths of a memory cycle
 
 
+class _ServiceWindow:
+    """One DS-id's service totals in the open statistics window."""
+
+    __slots__ = ("bytes", "delay_sum", "served")
+
+    def __init__(self) -> None:
+        self.bytes = 0
+        self.delay_sum = 0.0
+        self.served = 0
+
+
 class MemoryControlPlane(ControlPlane):
     """Programmable control plane for the DRAM memory controller."""
 
@@ -58,9 +69,7 @@ class MemoryControlPlane(ControlPlane):
             window_ps=window_ps, tracer=tracer,
         )
         self._controller = None
-        self._window_bytes: dict[int, int] = {}
-        self._window_delay_sum: dict[int, float] = {}
-        self._window_delay_count: dict[int, int] = {}
+        self._window: dict[int, _ServiceWindow] = {}  # the open window, per DS-id
 
     def bind_controller(self, controller) -> None:
         self._controller = controller
@@ -90,22 +99,21 @@ class MemoryControlPlane(ControlPlane):
 
     # -- accounting (hardware side) ---------------------------------------------
 
-    def record_service(
-        self, ds_id: int, size_bytes: int, queue_delay_cycles: float, total_cycles: float
-    ) -> None:
-        self._window_bytes[ds_id] = self._window_bytes.get(ds_id, 0) + size_bytes
-        self._window_delay_sum[ds_id] = (
-            self._window_delay_sum.get(ds_id, 0.0) + queue_delay_cycles
-        )
-        self._window_delay_count[ds_id] = self._window_delay_count.get(ds_id, 0) + 1
+    def record_service(self, ds_id: int, size_bytes: int, queue_delay_cycles: float) -> None:
+        """Account one served request to the open window."""
+        window = self._window.get(ds_id)
+        if window is None:
+            window = self._window[ds_id] = _ServiceWindow()
+        window.bytes += size_bytes
+        window.delay_sum += queue_delay_cycles
+        window.served += 1
 
     # -- window publication ---------------------------------------------------------
 
     def on_window(self) -> None:
         for ds_id in self.statistics.ds_ids:
-            served = self._window_delay_count.pop(ds_id, 0)
-            delay_sum = self._window_delay_sum.pop(ds_id, 0.0)
-            bandwidth = self._window_bytes.pop(ds_id, 0)
+            window = self._window.pop(ds_id, None) or _ServiceWindow()
+            bandwidth, delay_sum, served = window.bytes, window.delay_sum, window.served
             self.statistics.set(ds_id, "bandwidth", bandwidth)
             if served:
                 avg = int(delay_sum / served * LATENCY_SCALE)

@@ -84,6 +84,9 @@ class MemoryController(Component):
             priority_levels = 1
             hp_row_buffer = False
         self.hp_row_buffer = hp_row_buffer
+        # Per-request constants, in picoseconds of this clock domain.
+        self._cycle_ps = clock.period_ps
+        self._burst_ps = self.timing.t_burst * clock.period_ps
         self.scheduler = PriorityScheduler(priority_levels)
         self._top_priority = priority_levels - 1
         self.banks = [
@@ -94,7 +97,6 @@ class MemoryController(Component):
         # The armed arbitration wakeup and its time (see _arm_wakeup).
         self._wakeup_handle = None
         self._wakeup_at_ps = 0
-        self._inflight = 0
         # Queueing delay per priority level, in memory cycles (Fig. 11).
         self.queue_delay = [
             LatencyRecorder(f"{name}.qdelay.p{p}") for p in range(priority_levels)
@@ -141,7 +143,12 @@ class MemoryController(Component):
                 size = policy["addr_size"]
                 if size and self.translate_addresses:
                     addr = translate_window(policy["addr_base"], size, addr)
-                priority = max(0, min(policy["priority"], self._top_priority))
+                # Clamped to the levels this controller has.
+                priority = policy["priority"]
+                if priority > self._top_priority:
+                    priority = self._top_priority
+                if priority < 0:
+                    priority = 0
         bank_index, row, _column = decompose_address(addr, self.geometry)
         now = self.engine.now
         self.scheduler.enqueue(PendingRequest(
@@ -182,31 +189,38 @@ class MemoryController(Component):
         while True:
             request, busy_until_ps = scheduler.pop_ready(banks, self.engine.now)
             if request is None:
-                if busy_until_ps:
-                    # Strict priority: the preferred head owns the dispatch
-                    # port even while its bank is busy.
+                # Strict priority: the preferred head owns the dispatch
+                # port even while its bank is busy. An armed wakeup at or
+                # before its ready time suffices (see _arm_wakeup).
+                if busy_until_ps and (
+                    self._wakeup_handle is None or busy_until_ps < self._wakeup_at_ps
+                ):
                     self._arm_wakeup(busy_until_ps)
                 return
             self._issue(request)
 
     def _issue(self, request: PendingRequest) -> None:
         bank = self.banks[request.bank_index]
-        high_priority = self._is_high_priority(request)
+        # The extra row buffer is for high-priority DS-ids whose rowbuf
+        # parameter allows it (read at issue, like the rest of the policy).
+        high_priority = False
+        if request.priority and self.hp_row_buffer:
+            control = self.control
+            high_priority = control is None or bool(control.rowbuf_enabled(request.ds_id))
         timing = self.timing
-        latency_cycles = bank.access_latency_cycles(request.row, timing, high_priority)
-        cycle_ps = self.clock.period_ps
+        row = request.row
+        latency_cycles = bank.access_latency_cycles(row, timing, high_priority)
+        cycle_ps = self._cycle_ps
         issue_ps = self.engine.now
-        pre_data_ps = (latency_cycles - timing.t_burst) * cycle_ps
-        burst_ps = timing.t_burst * cycle_ps
         # The shared data bus serializes bursts; row preparation overlaps
         # with other banks' transfers.
-        data_start_ps = max(issue_ps + pre_data_ps, self.bus_free_at_ps)
-        done_ps = data_start_ps + burst_ps
+        data_start_ps = issue_ps + (latency_cycles - timing.t_burst) * cycle_ps
+        if data_start_ps < self.bus_free_at_ps:
+            data_start_ps = self.bus_free_at_ps
+        done_ps = self.bus_free_at_ps = data_start_ps + self._burst_ps
         done_ps = bank.record_access(
-            request.row, issue_ps, done_ps, timing, cycle_ps, high_priority
+            row, issue_ps, done_ps, timing, cycle_ps, high_priority, latency_cycles
         )
-        self.bus_free_at_ps = data_start_ps + burst_ps
-        request.issued_at_ps = issue_ps
         delay_cycles = (issue_ps - request.enqueued_at_ps) / cycle_ps
         self.queue_delay[request.priority].record(delay_cycles)
         if self._qdelay_hist is not None:
@@ -219,50 +233,39 @@ class MemoryController(Component):
                 f"dsid={request.ds_id} bank={request.bank_index} "
                 f"qdelay={delay_cycles:.1f}cyc",
             )
-        self._inflight += 1
-        self.engine.post_at(done_ps, lambda: self._complete(request, delay_cycles, done_ps))
 
-    def _complete(self, request: PendingRequest, delay_cycles: float, done_ps: int) -> None:
-        self._inflight -= 1
-        self.served_requests += 1
-        self.served_bytes += request.packet.size
-        if request.packet.span is not None:
-            request.packet.span.hop(f"{self.name}.complete", done_ps)
-        if self.control is not None:
-            total_cycles = (done_ps - request.enqueued_at_ps) / self.clock.period_ps
-            self.control.record_service(
-                request.ds_id, request.packet.size, delay_cycles, total_cycles
-            )
-        request.on_response(request.packet)
-        self._pump()
+        def complete() -> None:
+            """The access is done: account it, respond, and re-arbitrate."""
+            packet = request.packet
+            size = packet.size
+            self.served_requests += 1
+            self.served_bytes += size
+            if packet.span is not None:
+                packet.span.hop(f"{self.name}.complete", done_ps)
+            if self.control is not None:
+                self.control.record_service(request.ds_id, size, delay_cycles)
+            request.on_response(packet)
+            self._pump()
+
+        self.engine.post_at(done_ps, complete)
 
     def _arm_wakeup(self, wake_at_ps: int) -> None:
-        """Schedule the next arbitration pass (deduplicated).
+        """Schedule the next arbitration pass at ``wake_at_ps``, replacing
+        a later armed one.
 
-        Only this method arms or cancels the wakeup, so ``_wakeup_at_ps``
-        is the armed handle's time and a handle is never left cancelled.
-        An armed wakeup at or before ``wake_at_ps`` suffices; so does one
-        that already fired, whose time is in the past: after the first
-        wakeup fires, progress comes from the ``_pump`` in ``_complete``,
-        which runs when the busy bank's access ends.
+        ``_pump`` calls this only when no wakeup is armed at or before
+        ``wake_at_ps`` (a busy bank's ready time, so in the future). Only
+        this method arms or cancels the wakeup, so ``_wakeup_at_ps`` is
+        the armed handle's time and a handle is never left cancelled. A
+        wakeup that already fired, whose time is in the past, also counts
+        as armed: after the first wakeup fires, progress comes from the
+        ``_pump`` run by each completion, when the busy bank's access
+        ends.
         """
-        if wake_at_ps <= self.engine.now:
-            return
         if self._wakeup_handle is not None:
-            if self._wakeup_at_ps <= wake_at_ps:
-                return
             self._wakeup_handle.cancel()
         self._wakeup_at_ps = wake_at_ps
         self._wakeup_handle = self.engine.schedule_at(wake_at_ps, self._pump)
-
-    # -- control-plane consultation ------------------------------------------------
-
-    def _is_high_priority(self, request: PendingRequest) -> bool:
-        if not self.hp_row_buffer or request.priority == 0:
-            return False
-        if self.control is None:
-            return True
-        return bool(self.control.rowbuf_enabled(request.ds_id))
 
     # -- introspection ------------------------------------------------------------
 

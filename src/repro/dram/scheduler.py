@@ -11,19 +11,20 @@ FIFO queue, the baseline ("w/o control plane") configuration of Fig. 11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.dram.bank import BankState
 from repro.sim.packet import MemoryPacket
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class PendingRequest:
     """A queued memory request with its decoded DRAM coordinates.
 
     ``ds_id`` is the packet's effective DS-id (the owner's, for a
-    writeback).
+    writeback). One is allocated per DRAM request, so the constructor is
+    written out by hand; it takes the generated one's arguments.
     """
 
     packet: MemoryPacket
@@ -33,7 +34,24 @@ class PendingRequest:
     enqueued_at_ps: int
     on_response: Callable[[MemoryPacket], None]
     ds_id: int
-    issued_at_ps: Optional[int] = field(default=None)
+
+    def __init__(
+        self,
+        packet: MemoryPacket,
+        bank_index: int,
+        row: int,
+        priority: int,
+        enqueued_at_ps: int,
+        on_response: Callable[[MemoryPacket], None],
+        ds_id: int,
+    ) -> None:
+        self.packet = packet
+        self.bank_index = bank_index
+        self.row = row
+        self.priority = priority
+        self.enqueued_at_ps = enqueued_at_ps
+        self.on_response = on_response
+        self.ds_id = ds_id
 
 
 class PriorityScheduler:
@@ -47,7 +65,6 @@ class PriorityScheduler:
         # the same lists highest priority first for arbitration.
         self._queues: list[list[PendingRequest]] = [[] for _ in range(priority_levels)]
         self._queues_by_rank = self._queues[::-1]
-        self.total_enqueued = 0
 
     @property
     def occupancy(self) -> int:
@@ -63,7 +80,6 @@ class PriorityScheduler:
                 f"[0, {self.priority_levels})"
             )
         self._queues[request.priority].append(request)
-        self.total_enqueued += 1
 
     def pop_ready(
         self, banks: list[BankState], now_ps: int

@@ -38,21 +38,16 @@ class DramTiming:
         ):
             if getattr(self, field_name) <= 0:
                 raise ValueError(f"{field_name} must be positive")
-
-    @property
-    def row_hit_latency(self) -> int:
-        """Issue-to-last-data for a row-buffer hit, in cycles."""
-        return self.t_cl + self.t_burst
-
-    @property
-    def row_closed_latency(self) -> int:
-        """Issue-to-last-data when the bank is precharged (row empty)."""
-        return self.t_rcd + self.t_cl + self.t_burst
-
-    @property
-    def row_conflict_latency(self) -> int:
-        """Issue-to-last-data when another row is open (precharge first)."""
-        return self.t_rp + self.t_rcd + self.t_cl + self.t_burst
+        # Issue-to-last-data latencies in cycles, computed once (the
+        # controller reads one per request): a row-buffer hit, a
+        # precharged bank (row empty), and another row open (precharge
+        # first). All timings are positive, so hit < closed < conflict.
+        set_derived = object.__setattr__
+        set_derived(self, "row_hit_latency", self.t_cl + self.t_burst)
+        set_derived(self, "row_closed_latency", self.t_rcd + self.t_cl + self.t_burst)
+        set_derived(
+            self, "row_conflict_latency", self.t_rp + self.t_rcd + self.t_cl + self.t_burst
+        )
 
 
 @dataclass(frozen=True)
@@ -70,10 +65,10 @@ class DramGeometry:
             raise ValueError("geometry values must be positive")
         if self.row_bytes & (self.row_bytes - 1):
             raise ValueError("row_bytes must be a power of two")
-
-    @property
-    def total_banks(self) -> int:
-        return self.channels * self.ranks * self.banks_per_rank
+        # Derived once; decompose_address reads them on every request.
+        set_derived = object.__setattr__
+        set_derived(self, "total_banks", self.channels * self.ranks * self.banks_per_rank)
+        set_derived(self, "row_shift", self.row_bytes.bit_length() - 1)
 
     @property
     def rows_per_bank(self) -> int:
@@ -89,10 +84,10 @@ def decompose_address(addr: int, geometry: DramGeometry) -> tuple[int, int, int]
     """
     if addr < 0:
         raise ValueError(f"negative DRAM address {addr}")
-    row_bytes = geometry.row_bytes  # a power of two (checked by DramGeometry)
-    row_number = addr >> (row_bytes.bit_length() - 1)
+    row_number = addr >> geometry.row_shift  # row_bytes is a power of two
     total_banks = geometry.total_banks
-    return row_number % total_banks, row_number // total_banks, addr & (row_bytes - 1)
+    return (row_number % total_banks, row_number // total_banks,
+            addr & (geometry.row_bytes - 1))
 
 
 DRAM_CYCLE_PS = DRAM_CLOCK_PS

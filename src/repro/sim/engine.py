@@ -50,7 +50,7 @@ events. ``stop()`` from inside a callback resumes the same way.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 PS_PER_NS = 1_000
 PS_PER_US = 1_000_000
@@ -60,6 +60,8 @@ PS_PER_S = 1_000_000_000_000
 # Lazy-purge thresholds: rebuild the queue once at least this many
 # cancelled records linger *and* they outnumber the live entries.
 _PURGE_MIN_CANCELLED = 64
+
+_NEVER = float("inf")  # run()'s time limit when it has none
 
 
 class SimulationError(RuntimeError):
@@ -73,16 +75,31 @@ class _Event:
     ties by bucket append order and leaves ``seq`` at 0. ``done`` marks
     an event that already executed, so a late ``cancel()`` on its handle
     cannot corrupt the live-event counter.
+
+    The calendar engine dispatches every bucket entry by calling it, so
+    an event is callable: it runs its callback, or, when cancelled, only
+    settles the engine's counters.
     """
 
-    __slots__ = ("time_ps", "seq", "callback", "cancelled", "done")
+    __slots__ = ("engine", "time_ps", "seq", "callback", "cancelled", "done")
 
-    def __init__(self, time_ps: int, seq: int, callback: Callable[[], None]):
+    def __init__(self, engine: "Engine", time_ps: int, seq: int,
+                 callback: Callable[[], None]):
+        self.engine = engine
         self.time_ps = time_ps
         self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.done = False
+
+    def __call__(self) -> None:
+        if self.cancelled:
+            engine = self.engine
+            engine._cancelled_pending -= 1
+            engine._skipped += 1
+            return
+        self.done = True
+        self.callback()
 
     def __lt__(self, other: "_Event") -> bool:
         if self.time_ps != other.time_ps:
@@ -146,6 +163,10 @@ class Engine:
         self._cancelled_pending = 0  # cancelled records not yet dropped
         self._running = False
         self._stopped = False
+        # The iterator over the bucket run() is dispatching, if any, and
+        # the cancelled entries it has skipped this run.
+        self._entries: Optional[Iterator] = None
+        self._skipped = 0
         self.executed_total = 0
 
     # -- time ----------------------------------------------------------------
@@ -165,7 +186,13 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued. O(1)."""
-        return self._queued - self._cancelled_pending
+        pending = self._queued - self._cancelled_pending
+        entries = self._entries
+        if entries is not None:
+            # run() settles _queued per bucket; subtract what the bucket
+            # in flight (the one at the current time) has dispatched.
+            pending -= len(self._buckets[self.now]) - entries.__length_hint__()
+        return pending
 
     # -- scheduling ----------------------------------------------------------
 
@@ -182,7 +209,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps, already at {self.now} ps"
             )
-        event = _Event(time_ps, 0, callback)
+        event = _Event(self, time_ps, 0, callback)
         bucket = self._buckets.get(time_ps)
         if bucket is None:
             self._buckets[time_ps] = [event]
@@ -227,16 +254,18 @@ class Engine:
 
     def _on_cancel(self) -> None:
         self._cancelled_pending += 1
+        queued = self.pending_events + self._cancelled_pending
         if (
             self._cancelled_pending >= _PURGE_MIN_CANCELLED
-            and self._cancelled_pending * 2 > self._queued
+            and self._cancelled_pending * 2 > queued
         ):
             self._purge()
 
     def _purge(self) -> None:
         """Drop cancelled records from every bucket not currently executing."""
-        # Never rewrite the bucket run() is iterating over.
-        skip = self._times[0] if self._running and self._times else None
+        # Never rewrite the bucket run() is iterating over (its time is
+        # off the heap while it runs).
+        skip = self.now if self._running else None
         removed = 0
         for time_ps in list(self._buckets):
             if time_ps == skip:
@@ -271,20 +300,28 @@ class Engine:
         number of callbacks invoked. After a bounded run, time is advanced
         to ``until_ps`` even if the queue drained earlier, so repeated
         bounded runs tile the timeline predictably.
+
+        The counters are settled once per bucket, not once per event:
+        while a bucket is in flight its time is off the heap, and
+        ``pending_events`` subtracts its dispatched entries through
+        ``_entries``, the bucket's iterator.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
         self._stopped = False
-        executed = 0
+        self._skipped = 0
+        executed = 0  # entries dispatched; skipped ones are taken off at the end
         times = self._times
         buckets = self._buckets
-        event_class = _Event
-        i = 0  # entries of the head bucket dispatched so far
+        heappop = heapq.heappop
+        limit = _NEVER if until_ps is None else until_ps
+        bucket = None
         try:
-            while times and not self._stopped:
-                time_ps = times[0]
-                if until_ps is not None and time_ps > until_ps:
+            while times:
+                time_ps = heappop(times)
+                if time_ps > limit:
+                    heapq.heappush(times, time_ps)
                     break
                 bucket = buckets[time_ps]
                 self.now = time_ps
@@ -292,35 +329,46 @@ class Engine:
                 # callbacks that schedule more work at the current
                 # timestamp extend this bucket and the new entries run in
                 # this same pass, in append order.
-                for entry in bucket:
-                    i += 1
-                    self._queued -= 1
-                    if entry.__class__ is event_class:
-                        if entry.cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        entry.done = True
-                        entry = entry.callback
+                self._entries = entries = iter(bucket)
+                for entry in entries:
                     entry()
-                    executed += 1
                     if self._stopped:
                         break
-                if i < len(bucket):
-                    break  # stop() fired mid-bucket
-                del buckets[time_ps]
-                heapq.heappop(times)
-                i = 0
+                else:
+                    dispatched = len(bucket)
+                    executed += dispatched
+                    self._queued -= dispatched
+                    del buckets[time_ps]
+                    continue
+                # stop(): the next run() resumes after this entry.
+                executed += self._consume_dispatched(bucket, entries)
+                break
+        except BaseException:
+            if bucket is not None and buckets.get(self.now) is bucket:
+                # A callback raised: it counts as consumed, not executed.
+                executed += self._consume_dispatched(bucket, entries) - 1
+            raise
         finally:
             self._running = False
+            self._entries = None
+            executed -= self._skipped
             self.executed_total += executed
-            if i:
-                # Left mid-bucket through stop() or a raising callback:
-                # drop the dispatched prefix, a raising entry included,
-                # so the next run() resumes with the rest.
-                del bucket[:i]
         if until_ps is not None and self.now < until_ps and not self._stopped:
             self.now = until_ps
         return executed
+
+    def _consume_dispatched(self, bucket: list, entries: Iterator) -> int:
+        """Drop the dispatched prefix of the bucket run() left mid-way and
+        put the rest back in the queue, so the next run() resumes with it.
+        Returns the prefix length."""
+        dispatched = len(bucket) - entries.__length_hint__()
+        self._queued -= dispatched
+        del bucket[:dispatched]
+        if bucket:
+            heapq.heappush(self._times, self.now)
+        else:
+            del self._buckets[self.now]
+        return dispatched
 
     def run_for(self, duration_ps: int) -> int:
         """Run for a fixed duration from the current time."""
@@ -354,7 +402,7 @@ class HeapqEngine(Engine):
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps, already at {self.now} ps"
             )
-        event = _Event(time_ps, self._seq, callback)
+        event = _Event(self, time_ps, self._seq, callback)
         self._seq += 1
         heapq.heappush(self._queue, event)
         self._queued += 1

@@ -75,7 +75,7 @@ class Packet:
             raise ValueError(f"DS-id {self.ds_id} outside 16-bit tag space")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MemoryPacket(Packet):
     """A cache/memory access request.
 
@@ -84,12 +84,41 @@ class MemoryPacket(Packet):
     addresses (PARD §4.2). ``owner_ds_id`` is only meaningful for
     writebacks, where the evicted block's owner -- not the requester that
     caused the eviction -- must be charged (PARD §4.1).
+
+    Every memory access and every cache fill allocates one, so the
+    constructor is written out by hand (the generated one calls a
+    ``default_factory`` lambda and ``__post_init__``); it takes the same
+    arguments as the generated one, in the same order.
     """
 
     addr: int = 0
     size: int = 64
     op: MemOp = MemOp.READ
     owner_ds_id: Optional[int] = None
+
+    def __init__(
+        self,
+        ds_id: int = DEFAULT_DSID,
+        birth_ps: int = 0,
+        packet_id: Optional[int] = None,
+        span: Optional[object] = None,
+        addr: int = 0,
+        size: int = 64,
+        op: MemOp = MemOp.READ,
+        owner_ds_id: Optional[int] = None,
+    ) -> None:
+        # The id is drawn before the DS-id check, as the generated
+        # constructor did, so a rejected packet still consumes one.
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        if ds_id & ~MAX_DSID:  # not 0 <= ds_id <= MAX_DSID (all ones), in one step
+            raise ValueError(f"DS-id {ds_id} outside 16-bit tag space")
+        self.ds_id = ds_id
+        self.birth_ps = birth_ps
+        self.span = span
+        self.addr = addr
+        self.size = size
+        self.op = op
+        self.owner_ds_id = owner_ds_id
 
     @property
     def is_write(self) -> bool:
@@ -98,7 +127,7 @@ class MemoryPacket(Packet):
     @property
     def effective_ds_id(self) -> int:
         """The DS-id used for accounting and policy at the memory level."""
-        if self.op is MemOp.WRITEBACK and self.owner_ds_id is not None:
+        if self.owner_ds_id is not None and self.op is MemOp.WRITEBACK:
             return self.owner_ds_id
         return self.ds_id
 

@@ -40,8 +40,21 @@ class DeterministicRng:
         return self._random.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in [low, high] inclusive.
+
+        Draws exactly what ``random.Random.randint`` draws -- CPython's
+        rejection loop over ``getrandbits(n.bit_length())`` -- in one
+        frame instead of three (memcached calls this per load).
+        """
+        n = high - low + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        getrandbits = self._random.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
 
     def choice(self, items):
         return self._random.choice(items)

@@ -147,10 +147,33 @@ class TestMshrBehaviour:
         done = []
         for i in range(3):
             pkt = MemoryPacket(ds_id=1, addr=0x1000 * (i + 1))
-            cache.handle_request(pkt, lambda p: done.append(p.addr))
+            cache.handle_request(pkt, lambda p: done.append((p.addr, engine.now)))
         engine.run()
         assert len(done) == 3
         assert len(memory.requests) == 3
+        # The second and third misses retry every retry_cycles until the
+        # previous fill frees the MSHR (times measured before the miss
+        # path was fused into one step).
+        assert done == [(0x1000, 51000), (0x2000, 101000), (0x3000, 151000)]
+        # A stalled miss is counted once, when the MSHR file accepts it,
+        # not once per retry.
+        assert cache.total_misses == 3
+
+    def test_mshr_full_retries_count_one_llc_miss_each(self):
+        # On the LLC the windowed miss count feeds the Fig. 9 trigger; a
+        # retried miss must not inflate it.
+        engine = Engine()
+        control = LlcControlPlane(engine, num_ways=4)
+        control.allocate_ldom(1)
+        engine, cache, memory = make_cache(engine=engine, control=control)
+        cache.mshrs.num_entries = 1
+        for i in range(3):
+            pkt = MemoryPacket(ds_id=1, addr=0x1000 * (i + 1))
+            cache.handle_request(pkt, lambda p: None)
+        engine.run()
+        control.roll_window()
+        assert control.statistics.get(1, "miss_cnt") == 3
+        assert control.statistics.get(1, "hit_cnt") == 0
 
 
 class TestOccupancyAccounting:

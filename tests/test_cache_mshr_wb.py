@@ -45,10 +45,11 @@ class TestMshrFile:
         assert not primary
 
     def test_complete_notifies_waiters_in_order(self):
+        # Waiters are (callback, packet) pairs, called as callback(packet).
         mshrs = MshrFile(4)
         woken = []
-        mshrs.allocate(0x100, 1, now_ps=0, on_fill=lambda: woken.append("a"))
-        mshrs.allocate(0x100, 1, now_ps=0, on_fill=lambda: woken.append("b"))
+        mshrs.allocate(0x100, 1, now_ps=0, on_fill=woken.append, packet="a")
+        mshrs.allocate(0x100, 1, now_ps=0, on_fill=woken.append, packet="b")
         mshrs.complete(0x100, 1)
         assert woken == ["a", "b"]
         assert mshrs.occupancy == 0

@@ -25,6 +25,13 @@ class TestWayMaskedPlru:
         with pytest.raises(ValueError):
             WayMaskedPlru(0)
 
+    def test_touch_rejects_out_of_range_ways(self):
+        plru = WayMaskedPlru(4)
+        for way in (-1, 4, 100):
+            with pytest.raises(ValueError):
+                plru.touch(way)
+        assert plru.bits == 0
+
     def test_single_way(self):
         plru = WayMaskedPlru(1)
         assert plru.victim() == 0

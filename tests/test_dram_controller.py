@@ -236,7 +236,7 @@ class TestMemoryControlPlaneStats:
         engine = Engine()
         control = MemoryControlPlane(engine)
         control.allocate_ldom(1)
-        control.record_service(1, 64, queue_delay_cycles=2.7, total_cycles=20)
+        control.record_service(1, 64, queue_delay_cycles=2.7)
         control.roll_window()
         assert control.statistics.get(1, "avg_qlat") == 270
         assert control.last_window_avg_qlat_cycles(1) == pytest.approx(2.7)

@@ -70,6 +70,12 @@ class TestAddressDecomposition:
         assert rebuilt == addr
 
 
+def _record(bank, row, issue_ps, done_ps, timing, cycle_ps, high_priority):
+    """``BankState.record_access`` with the latency it is issued at."""
+    latency = bank.access_latency_cycles(row, timing, high_priority)
+    return bank.record_access(row, issue_ps, done_ps, timing, cycle_ps, high_priority, latency)
+
+
 class TestBankState:
     def test_initially_closed(self):
         bank = BankState(0)
@@ -78,7 +84,7 @@ class TestBankState:
     def test_hit_after_access(self):
         bank = BankState(0)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
+        _record(bank, 5, 0, 1000, timing, 1250, False)
         assert bank.row_state(5) == "hit"
         assert bank.row_state(6) == "conflict"
 
@@ -86,7 +92,7 @@ class TestBankState:
         bank = BankState(0)
         timing = DramTiming()
         assert bank.access_latency_cycles(5, timing, False) == timing.row_closed_latency
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
+        _record(bank, 5, 0, 1000, timing, 1250, False)
         assert bank.access_latency_cycles(5, timing, False) == timing.row_hit_latency
         assert bank.access_latency_cycles(6, timing, False) == timing.row_conflict_latency
 
@@ -94,10 +100,10 @@ class TestBankState:
         bank = BankState(0)
         timing = DramTiming()
         cycle_ps = 1250
-        bank.record_access(5, 0, 1000, timing, cycle_ps, high_priority=False)
+        _record(bank, 5, 0, 1000, timing, cycle_ps, False)
         # Conflicting access issued immediately: the old row was activated
         # at 0 and cannot precharge before tRAS.
-        done = bank.record_access(6, 1000, 2000, timing, cycle_ps, high_priority=False)
+        done = _record(bank, 6, 1000, 2000, timing, cycle_ps, False)
         assert done > 2000
         assert done - 1000 >= (timing.t_ras * cycle_ps - 1000)
 
@@ -106,9 +112,9 @@ class TestBankState:
         # request activate without closing the low-priority row.
         bank = BankState(0, hp_row_buffer=True)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
+        _record(bank, 5, 0, 1000, timing, 1250, False)
         assert bank.access_latency_cycles(6, timing, True) == timing.row_closed_latency
-        bank.record_access(6, 2000, 3000, timing, 1250, high_priority=True)
+        _record(bank, 6, 2000, 3000, timing, 1250, True)
         # Both rows are now hot.
         assert bank.row_state(5) == "hit"
         assert bank.row_state(6) == "hit"
@@ -116,14 +122,14 @@ class TestBankState:
     def test_without_hp_buffer_high_priority_conflicts(self):
         bank = BankState(0, hp_row_buffer=False)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
+        _record(bank, 5, 0, 1000, timing, 1250, False)
         assert bank.access_latency_cycles(6, timing, True) == timing.row_conflict_latency
 
     def test_close_precharges_both_buffers(self):
         bank = BankState(0, hp_row_buffer=True)
         timing = DramTiming()
-        bank.record_access(5, 0, 1000, timing, 1250, high_priority=False)
-        bank.record_access(6, 2000, 3000, timing, 1250, high_priority=True)
+        _record(bank, 5, 0, 1000, timing, 1250, False)
+        _record(bank, 6, 2000, 3000, timing, 1250, True)
         bank.close()
         assert bank.row_state(5) == "closed"
         assert bank.row_state(6) == "closed"

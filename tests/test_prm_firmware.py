@@ -236,7 +236,7 @@ class TestTriggerActionPath:
         firmware.create_ldom("a", (0,), 1 << 20, priority=0)
         firmware.register_script("/p.sh", raise_priority_action(1))
         firmware.install_trigger("cpa1", 1, "avg_qlat", "gt,10", script_path="/p.sh")
-        mem.record_service(1, 64, queue_delay_cycles=50.0, total_cycles=60.0)
+        mem.record_service(1, 64, queue_delay_cycles=50.0)
         mem.roll_window()
         engine.run()
         assert mem.parameters.get(1, "priority") == 1

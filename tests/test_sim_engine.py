@@ -166,6 +166,30 @@ def test_pending_events_counts_posts(engine):
     assert engine.pending_events == 1
 
 
+def test_pending_events_inside_callbacks(engine):
+    """Read from a callback (as the telemetry gauge does), the count
+    excludes what already ran in the current bucket and includes what
+    was just added to it."""
+    seen = []
+
+    def look():
+        seen.append(engine.pending_events)
+
+    def grow():
+        engine.post(0, look)
+        look()
+
+    engine.post(10, look)
+    handle = engine.schedule(10, look)
+    engine.post(10, grow)
+    engine.post(10, look)
+    engine.post(20, look)
+    handle.cancel()
+    engine.run()
+    assert seen == [3, 3, 2, 1, 0]
+    assert engine.executed_total == 5
+
+
 def test_mass_cancellation_triggers_lazy_purge(engine):
     """Cancelling most of a large queue purges the dead records; the
     survivors still run in order."""

@@ -29,6 +29,30 @@ class TestDeterministicRng:
         b = root.child("b")
         assert [a.uniform() for _ in range(5)] != [b.uniform() for _ in range(5)]
 
+    def test_randint_matches_stdlib_stream(self):
+        # Same values and same bits consumed as random.Random.randint, for
+        # a width of 1, powers of two, one past them, and large widths.
+        import random
+
+        widths = [1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257, 1000,
+                  2**16, 2**16 + 1, 2**31 - 1, 2**40 + 3, 10**20]
+        for seed in range(40):
+            ours = DeterministicRng(seed)
+            reference = random.Random(seed)
+            for width in widths:
+                low = seed * 7 - 100
+                for _ in range(5):
+                    assert ours.randint(low, low + width - 1) == reference.randint(
+                        low, low + width - 1
+                    )
+            assert ours.random() == reference.random()
+
+    def test_randint_empty_range_raises(self):
+        rng = DeterministicRng(1)
+        with pytest.raises(ValueError):
+            rng.randint(5, 4)
+        assert rng.randint(5, 5) == 5
+
     def test_exponential_positive_and_mean(self):
         rng = DeterministicRng(3)
         samples = [rng.exponential(10.0) for _ in range(5000)]
