@@ -3,7 +3,6 @@
 - :mod:`repro.cache.replacement` -- tree pseudo-LRU with way-mask support
   (the "Way Partitioning Enabled Pseudo-LRU" of PARD Fig. 4)
 - :mod:`repro.cache.mshr` -- miss status holding registers
-- :mod:`repro.cache.writeback` -- the writeback buffer (owner-DS-id tagged)
 - :mod:`repro.cache.cache` -- the cache model itself (used for both the
   private L1s and the shared LLC)
 - :mod:`repro.cache.control_plane` -- the LLC control plane
@@ -13,7 +12,6 @@ from repro.cache.cache import Cache, CacheConfig
 from repro.cache.control_plane import LlcControlPlane
 from repro.cache.mshr import MshrFile, MshrFullError
 from repro.cache.replacement import WayMaskedPlru
-from repro.cache.writeback import WritebackBuffer
 
 __all__ = [
     "Cache",
@@ -22,5 +20,4 @@ __all__ = [
     "MshrFile",
     "MshrFullError",
     "WayMaskedPlru",
-    "WritebackBuffer",
 ]

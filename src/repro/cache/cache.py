@@ -22,12 +22,10 @@ from typing import Optional
 
 from repro.cache.mshr import MshrFile, MshrFullError
 from repro.cache.replacement import WayMaskedPlru
-from repro.cache.writeback import WritebackBuffer
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemOp, MemoryPacket
-from repro.sim.trace import NULL_TRACER, Tracer
 
 _READ = MemOp.READ
 
@@ -42,7 +40,6 @@ class CacheConfig:
     line_size: int = 64
     hit_latency_cycles: int = 2
     mshr_entries: int = 16
-    writeback_entries: int = 8
     retry_cycles: int = 4  # back-off when the MSHR file is full
 
     def __post_init__(self) -> None:
@@ -115,20 +112,17 @@ class Cache(Component):
         config: CacheConfig,
         downstream: Component,
         control=None,
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, config.name, clock)
         self.config = config
         self.downstream = downstream
         self.control = control
-        self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
         self._sets: dict[int, _Set] = {}
         self.mshrs = MshrFile(config.mshr_entries)
-        self.writebacks = WritebackBuffer(config.writeback_entries)
         # Power-of-two geometry: block = address >> line_shift, and the
         # block's low bits select the set.
         self._line_shift = config.line_size.bit_length() - 1
@@ -280,7 +274,7 @@ class Cache(Component):
                 self.control.record_fill(ds_id)
 
         # The fill inherits the missing request's span, so the trail
-        # continues downstream (LLC, crossbar, DRAM).
+        # continues downstream (LLC, DRAM).
         fill = MemoryPacket(ds_id, now, None, packet.span, line_addr, self.config.line_size)
         sync_latency = self.downstream.access(fill, filled)
         if sync_latency is not None:
@@ -309,24 +303,17 @@ class Cache(Component):
             self._write_back(line)
 
     def _write_back(self, victim: _Line) -> None:
-        line_addr = victim.tag << self._line_shift
-        now = self.engine.now
-        entry = self.writebacks.push(line_addr, victim.ds_id, now)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                now, self.name, "writeback",
-                f"addr={line_addr:#x} owner={victim.ds_id}",
-            )
-        # Drain immediately; the memory controller queue is the real
-        # contention point downstream.
-        self.writebacks.pop()
+        """Send a dirty victim downstream at once, tagged with its owner's
+        DS-id (PARD §4.1), not the requester's. Writebacks contend in the
+        memory controller's queue."""
+        owner = victim.ds_id
         packet = MemoryPacket(
-            ds_id=entry.owner_ds_id,
-            addr=entry.line_addr,
+            ds_id=owner,
+            addr=victim.tag << self._line_shift,
             size=self.config.line_size,
             op=MemOp.WRITEBACK,
-            owner_ds_id=entry.owner_ds_id,
-            birth_ps=now,
+            owner_ds_id=owner,
+            birth_ps=self.engine.now,
         )
         self.downstream.handle_request(packet, lambda _resp: None)
 

@@ -35,7 +35,6 @@ from repro.sim.component import Component, ResponseCallback
 from repro.sim.engine import Engine
 from repro.sim.packet import MemoryPacket
 from repro.sim.stats import LatencyRecorder
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class MemoryController(Component):
@@ -53,7 +52,6 @@ class MemoryController(Component):
         enable_refresh: bool = False,
         translate_addresses: bool = True,
         name: str = "memctrl",
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         super().__init__(engine, name, clock)
@@ -61,7 +59,6 @@ class MemoryController(Component):
         self.geometry = geometry or DramGeometry()
         self.control = control
         self.translate_addresses = translate_addresses
-        self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -124,7 +121,6 @@ class MemoryController(Component):
             if bank.ready_at_ps < blocked_until:
                 bank.ready_at_ps = blocked_until
         self.refreshes_performed += 1
-        self.tracer.emit(self.now, self.name, "refresh", f"until={blocked_until}")
         self.engine.post(self.timing.t_refi * cycle_ps, self._refresh)
         self.engine.post_at(blocked_until, self._pump)
 
@@ -156,11 +152,6 @@ class MemoryController(Component):
         ))
         if packet.span is not None:
             packet.span.hop(f"{self.name}.enqueue", now)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                now, self.name, "enqueue",
-                f"dsid={ds_id} bank={bank_index} row={row} prio={priority}",
-            )
         self._pump()
 
     # -- arbitration / issue --------------------------------------------------
@@ -227,12 +218,6 @@ class MemoryController(Component):
             self._qdelay_hist.record(delay_cycles)
         if request.packet.span is not None:
             request.packet.span.hop(f"{self.name}.issue", issue_ps)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                issue_ps, self.name, "issue",
-                f"dsid={request.ds_id} bank={request.bank_index} "
-                f"qdelay={delay_cycles:.1f}cyc",
-            )
 
         def complete() -> None:
             """The access is done: account it, respond, and re-arbitrate."""

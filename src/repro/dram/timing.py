@@ -54,20 +54,19 @@ class DramTiming:
 class DramGeometry:
     """Channel organization; Table 2's single-channel configuration."""
 
-    channels: int = 1
     ranks: int = 2
     banks_per_rank: int = 8
     row_bytes: int = 1024
     capacity_bytes: int = 8 * 1024 ** 3  # 8 GB
 
     def __post_init__(self) -> None:
-        if min(self.channels, self.ranks, self.banks_per_rank, self.row_bytes) <= 0:
+        if min(self.ranks, self.banks_per_rank, self.row_bytes) <= 0:
             raise ValueError("geometry values must be positive")
         if self.row_bytes & (self.row_bytes - 1):
             raise ValueError("row_bytes must be a power of two")
         # Derived once; decompose_address reads them on every request.
         set_derived = object.__setattr__
-        set_derived(self, "total_banks", self.channels * self.ranks * self.banks_per_rank)
+        set_derived(self, "total_banks", self.ranks * self.banks_per_rank)
         set_derived(self, "row_shift", self.row_bytes.bit_length() - 1)
 
     @property

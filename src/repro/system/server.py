@@ -19,8 +19,6 @@ from repro.cache.control_plane import LlcControlPlane
 from repro.cpu.core import CpuCore
 from repro.dram.control_plane import MemoryControlPlane
 from repro.dram.controller import MemoryController
-from repro.dram.multichannel import MultiChannelMemory
-from repro.icn.crossbar import Crossbar
 from repro.io.apic import Apic
 from repro.io.bridge import IoBridge, IoBridgeControlPlane
 from repro.io.disk import IdeControlPlane, IdeController
@@ -28,7 +26,6 @@ from repro.io.nic import MultiQueueNic, NicControlPlane
 from repro.prm.firmware import Firmware, HardwareInventory
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Engine
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.system.config import ServerConfig, TABLE2
 
 
@@ -39,12 +36,10 @@ class PardServer:
         self,
         config: ServerConfig = TABLE2,
         engine: Optional[Engine] = None,
-        tracer: Tracer = NULL_TRACER,
         telemetry=None,
     ):
         self.config = config
         self.engine = engine or Engine()
-        self.tracer = tracer
         self.telemetry = (
             telemetry if (telemetry is not None and telemetry.enabled) else None
         )
@@ -66,7 +61,6 @@ class PardServer:
             max_entries=config.max_table_entries,
             max_triggers=config.max_triggers,
             window_ps=config.control_window_ps,
-            tracer=tracer,
         )
         self.llc_control = LlcControlPlane(
             engine, num_ways=config.llc_ways, **plane_kwargs
@@ -75,20 +69,12 @@ class PardServer:
         self.ide_control = IdeControlPlane(engine, **plane_kwargs)
         self.bridge_control = IoBridgeControlPlane(engine, **plane_kwargs)
 
-        # Memory hierarchy: one controller (Table 2), or an interleaved
-        # multi-channel organization when configured.
-        if config.memory_channels == 1:
-            self.memory_controller = MemoryController(
-                engine, self.dram_clock,
-                timing=config.dram_timing, geometry=config.dram_geometry,
-                control=self.memory_control, tracer=tracer, telemetry=telemetry,
-            )
-        else:
-            self.memory_controller = MultiChannelMemory(
-                engine, self.dram_clock, channels=config.memory_channels,
-                timing=config.dram_timing, geometry=config.dram_geometry,
-                control=self.memory_control, tracer=tracer, telemetry=telemetry,
-            )
+        # Memory hierarchy: one DDR3 channel (Table 2).
+        self.memory_controller = MemoryController(
+            engine, self.dram_clock,
+            timing=config.dram_timing, geometry=config.dram_geometry,
+            control=self.memory_control, telemetry=telemetry,
+        )
         llc_config = CacheConfig(
             name="llc",
             size_bytes=config.llc_size_bytes,
@@ -98,37 +84,23 @@ class PardServer:
         )
         self.llc = Cache(
             engine, self.cpu_clock, llc_config, self.memory_controller,
-            control=self.llc_control, tracer=tracer, telemetry=telemetry,
+            control=self.llc_control, telemetry=telemetry,
         )
-        # Optional explicit crossbar hop between the private L1s and the
-        # shared LLC (the T1-style fabric of Fig. 1).
-        if config.icn_crossbar:
-            self.crossbar = Crossbar(
-                engine, self.llc,
-                traversal_ps=config.crossbar_traversal_ps, tracer=tracer,
-                telemetry=telemetry,
-            )
-            l1_downstream = self.crossbar
-        else:
-            self.crossbar = None
-            l1_downstream = self.llc
 
         # I/O.
-        self.apic = Apic(engine, tracer=tracer, telemetry=telemetry)
+        self.apic = Apic(engine, telemetry=telemetry)
         self.ide = IdeController(
             engine, control=self.ide_control, memory=self.memory_controller,
             apic=self.apic,
             total_bandwidth_bytes_per_s=config.disk_bandwidth_bytes_per_s,
-            chunk_bytes=config.disk_chunk_bytes, tracer=tracer,
-            telemetry=telemetry,
+            chunk_bytes=config.disk_chunk_bytes, telemetry=telemetry,
         )
         self.nic = MultiQueueNic(
             engine, memory=self.memory_controller, apic=self.apic,
-            control=NicControlPlane(engine, **plane_kwargs), tracer=tracer,
-            telemetry=telemetry,
+            control=NicControlPlane(engine, **plane_kwargs), telemetry=telemetry,
         )
         self.bridge = IoBridge(
-            engine, control=self.bridge_control, tracer=tracer, telemetry=telemetry
+            engine, control=self.bridge_control, telemetry=telemetry
         )
         self.bridge.attach_device("ide0", self.ide)
 
@@ -143,8 +115,7 @@ class PardServer:
                 hit_latency_cycles=config.l1_hit_cycles,
             )
             l1 = Cache(
-                engine, self.cpu_clock, l1_config, l1_downstream, tracer=tracer,
-                telemetry=telemetry,
+                engine, self.cpu_clock, l1_config, self.llc, telemetry=telemetry,
             )
             core = CpuCore(
                 engine, self.cpu_clock, core_id, l1, io_port=self.bridge,
@@ -171,7 +142,6 @@ class PardServer:
         self.firmware = Firmware(
             engine, inventory,
             reaction_latency_ps=config.firmware_reaction_ps,
-            tracer=tracer,
             telemetry=telemetry,
         )
 

@@ -1,7 +1,7 @@
 """Packet-lifecycle spans: per-hop timestamps on sampled tagged requests.
 
-A span follows one packet through the machine -- core issue, L1/L2
-lookup, crossbar forward, DRAM enqueue/issue/complete, response -- and
+A span follows one packet through the machine -- core issue, L1/LLC
+lookup, DRAM enqueue/issue/complete, response -- and
 records a ``(hop_name, time_ps)`` pair at each stage. Spans carry the
 packet's DS-id, so finished spans can be queried per DS-id to attribute
 tail latency to a stage ("ds1's p99 is queue delay at the memory
@@ -83,8 +83,7 @@ class SpanRecorder:
     """Starts spans on a deterministic 1-in-N sample and stores finished ones.
 
     Storage is bounded (ring semantics: oldest finished spans are evicted
-    first) with an explicit ``dropped`` count, matching the Tracer's
-    contract.
+    first) with an explicit ``dropped`` count.
     """
 
     __slots__ = ("sample_every", "capacity", "finished", "dropped", "_seen", "_started")

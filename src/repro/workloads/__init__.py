@@ -18,10 +18,8 @@ from repro.workloads.base import Boot, Sequence, Workload
 from repro.workloads.cacheflush import CacheFlush
 from repro.workloads.diskio import DiskCopy
 from repro.workloads.memcached import MemcachedServer
-from repro.workloads.multiplex import TimeSliced
 from repro.workloads.spec import SyntheticSpec, lbm, leslie3d, libquantum, mcf, omnetpp
 from repro.workloads.stream import Stream
-from repro.workloads.trace import TraceReplay, parse_trace
 
 __all__ = [
     "Boot",
@@ -31,13 +29,10 @@ __all__ = [
     "Sequence",
     "Stream",
     "SyntheticSpec",
-    "TimeSliced",
-    "TraceReplay",
     "Workload",
     "lbm",
     "leslie3d",
     "libquantum",
     "mcf",
     "omnetpp",
-    "parse_trace",
 ]

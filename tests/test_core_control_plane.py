@@ -7,7 +7,6 @@ from repro.core.programming import TABLE_PARAMETER, TABLE_STATISTICS, TABLE_TRIG
 from repro.core.tables import TableError, TableSchema
 from repro.core.triggers import TriggerOp
 from repro.sim.engine import Engine, PS_PER_MS
-from repro.sim.trace import Tracer
 
 
 class FakeCachePlane(ControlPlane):
@@ -133,13 +132,16 @@ class TestWindowsAndInterrupts:
         assert len(fired) == 1  # observed default 0 == 0
 
     def test_tracer_records_interrupt(self):
-        tracer = Tracer()
-        plane = FakeCachePlane(Engine(), tracer=tracer)
+        plane = FakeCachePlane(Engine())
+        raised = []
+        plane.attach_interrupt(lambda *args: raised.append(args))
         plane.allocate_ldom(2)
-        plane.triggers.install(2, "miss_rate", TriggerOp.GT, 10)
+        slot = plane.triggers.install(2, "miss_rate", TriggerOp.GT, 10)
+        rule = plane.triggers.rule_at(2, slot)
         plane.pending_miss_rate[2] = 100
         plane.roll_window()
-        assert len(tracer.filter(event="trigger_interrupt")) == 1
+        assert plane.interrupts_raised == 1
+        assert raised == [(plane, 2, rule)]
 
 
 class TestTriggerBank:

@@ -1,96 +1,6 @@
-"""Tests for trace replay and the extended SPEC model set."""
-
-import itertools
-
-import pytest
-from hypothesis import given, strategies as st
+"""Tests for the extended SPEC model set."""
 
 from repro.workloads.spec import lbm, leslie3d, libquantum, mcf, omnetpp
-from repro.workloads.trace import (
-    TraceError,
-    TraceReplay,
-    parse_trace,
-    parse_trace_line,
-)
-
-
-class TestTraceParsing:
-    def test_parse_line_kinds(self):
-        assert parse_trace_line("R 0x40") == ("R", 0x40)
-        assert parse_trace_line("W 100") == ("W", 100)
-        assert parse_trace_line("C 12") == ("C", 12)
-        assert parse_trace_line("r 8") == ("R", 8)  # case-insensitive
-
-    def test_comments_stripped(self):
-        assert parse_trace_line("R 64  # hot line") == ("R", 64)
-
-    def test_malformed_lines(self):
-        for bad in ("", "R", "R x y", "X 5", "R banana", "R -5"):
-            with pytest.raises(TraceError):
-                parse_trace_line(bad)
-
-    def test_parse_trace_skips_blanks_and_comments(self):
-        text = """
-        # header comment
-        R 0x0
-
-        C 10
-        W 0x40
-        """
-        assert parse_trace(text.splitlines()) == [("R", 0), ("C", 10), ("W", 0x40)]
-
-
-class TestTraceReplay:
-    def test_replay_order(self):
-        trace = TraceReplay([("R", 0), ("C", 5), ("W", 64)])
-        ops = list(trace.ops())
-        assert ops == [("loads", [0]), ("compute", 5), ("store", 64)]
-
-    def test_mlp_batching(self):
-        trace = TraceReplay([("R", 0), ("R", 64), ("R", 128)], mlp=2)
-        ops = list(trace.ops())
-        assert ops == [("loads", [0, 64]), ("loads", [128])]
-
-    def test_store_flushes_pending_batch(self):
-        trace = TraceReplay([("R", 0), ("W", 64)], mlp=4)
-        ops = list(trace.ops())
-        assert ops == [("loads", [0]), ("store", 64)]
-
-    def test_repeat(self):
-        trace = TraceReplay([("C", 1)], repeat=3)
-        ops = list(trace.ops())
-        assert len(ops) == 3
-        assert trace.replays_completed == 3
-
-    def test_infinite_repeat(self):
-        trace = TraceReplay([("C", 1)], repeat=0)
-        assert len(list(itertools.islice(trace.ops(), 10))) == 10
-
-    def test_from_text(self):
-        trace = TraceReplay.from_text("R 0\nC 7\n")
-        assert list(trace.ops()) == [("loads", [0]), ("compute", 7)]
-
-    def test_validation(self):
-        with pytest.raises(TraceError):
-            TraceReplay([])
-        with pytest.raises(TraceError):
-            TraceReplay([("Z", 1)])
-        with pytest.raises(ValueError):
-            TraceReplay([("C", 1)], mlp=0)
-
-    @given(st.lists(
-        st.tuples(st.sampled_from(["R", "W", "C"]), st.integers(min_value=0, max_value=1 << 20)),
-        min_size=1, max_size=50,
-    ))
-    def test_property_replay_preserves_every_record(self, records):
-        trace = TraceReplay(records)
-        ops = list(trace.ops())
-        loads = [a for op in ops if op[0] == "loads" for a in op[1]]
-        stores = [op[1] for op in ops if op[0] == "store"]
-        computes = [op[1] for op in ops if op[0] == "compute"]
-        assert loads == [v for k, v in records if k == "R"]
-        assert stores == [v for k, v in records if k == "W"]
-        assert computes == [v for k, v in records if k == "C"]
 
 
 class TestSpecModels:
