@@ -11,13 +11,17 @@ either way.
 """
 
 import os
-from dataclasses import asdict
 
 from conftest import banner
 
 from repro.analysis.tables import format_table
 from repro.runner import SweepPoint, run_sweep
-from repro.system.experiments import ColocationSetup, measure_saturation_rate
+from repro.system.experiments import (
+    ColocationSetup,
+    measure_saturation_rate,
+    run_fig9,
+    run_fig11_controller_point,
+)
 
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
 
@@ -28,10 +32,10 @@ def ablate_partition_share():
     points = [
         SweepPoint(
             index=i,
-            builder="fig9",
+            run=run_fig9,
             params={
                 "rps": 300_000,
-                "setup": asdict(ColocationSetup(partition_share=share, warmup_ms=1.0)),
+                "setup": ColocationSetup(partition_share=share, warmup_ms=1.0),
                 "total_ms": 4.0,
                 "sample_ms": 0.5,
             },
@@ -55,15 +59,15 @@ def ablate_hp_row_buffer():
     points = [
         SweepPoint(
             index=i,
-            builder="fig11_controller",
+            run=run_fig11_controller_point,
             params={
                 "with_control_plane": True,
                 "rate_req_per_cycle": rate,
                 "num_requests": 4000,
+                "seed": 7,
                 "row_hit_fraction": 0.5,
                 "hp_row_buffer": hp_row_buffer,
             },
-            seed=7,
             label=f"hp_row_buffer={hp_row_buffer}",
         )
         for i, hp_row_buffer in enumerate(flags)
@@ -82,12 +86,10 @@ def ablate_window_length():
     points = [
         SweepPoint(
             index=i,
-            builder="fig9",
+            run=run_fig9,
             params={
                 "rps": 300_000,
-                "setup": asdict(
-                    ColocationSetup(warmup_ms=1.0, control_window_ms=window_ms)
-                ),
+                "setup": ColocationSetup(warmup_ms=1.0, control_window_ms=window_ms),
                 "total_ms": 6.0,
                 "sample_ms": 0.5,
             },

@@ -18,7 +18,8 @@ reproduction's solo knee maps to 22.5 KRPS; see EXPERIMENTS.md).
 from conftest import banner, full_resolution
 
 from repro.figures import render_fig8
-from repro.system.experiments import run_fig8
+from repro.runner import run_sweep
+from repro.system.experiments import fig8_sweep_points
 
 
 def test_fig8_tail_latency_curves(benchmark):
@@ -28,11 +29,11 @@ def test_fig8_tail_latency_curves(benchmark):
     else:
         loads = [222_000, 389_000, 500_000]
         measure_ms = 2.0
-    results = benchmark.pedantic(
-        run_fig8,
-        kwargs={"loads_rps": loads, "measure_ms": measure_ms},
-        rounds=1, iterations=1,
+    points = fig8_sweep_points(loads_rps=loads, measure_ms=measure_ms)
+    sweep = benchmark.pedantic(
+        run_sweep, args=(points,), kwargs={"jobs": 1}, rounds=1, iterations=1
     )
+    results = sweep.raise_on_failure().values()
 
     banner("Fig. 8: 95th-percentile response time vs load")
     render_fig8(results)

@@ -17,13 +17,20 @@ fully reproduce (see EXPERIMENTS.md for the analysis).
 from conftest import banner, full_resolution
 
 from repro.analysis.tables import format_table
-from repro.system.experiments import run_fig11
+from repro.runner import run_sweep
+from repro.system.experiments import QueueingResult, fig11_sweep_points
+
+
+def measure_fig11(num_requests: int) -> QueueingResult:
+    """The saturation probe, then both controller points, serially."""
+    sweep = run_sweep(fig11_sweep_points(num_requests=num_requests), jobs=1)
+    return QueueingResult.from_points(*sweep.raise_on_failure().values())
 
 
 def test_fig11_queueing_delay_cdf(benchmark):
     num_requests = 12_000 if full_resolution() else 6_000
     result = benchmark.pedantic(
-        run_fig11, kwargs={"num_requests": num_requests}, rounds=1, iterations=1
+        measure_fig11, kwargs={"num_requests": num_requests}, rounds=1, iterations=1
     )
 
     banner("Fig. 11: Memory queueing delay (cycles)")

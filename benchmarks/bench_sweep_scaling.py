@@ -31,7 +31,8 @@ import platform
 import sys
 import time
 
-from repro.system.experiments import ColocationSetup, run_fig8
+from repro.runner import run_sweep
+from repro.system.experiments import ColocationSetup, fig8_sweep_points
 
 FULL_JOBS = (1, 2, 4)
 FULL_LOADS = [150_000, 250_000]
@@ -57,10 +58,10 @@ def bench_setup() -> ColocationSetup:
 def time_grid(jobs: int, loads: list[int], measure_ms: float) -> tuple[str, float, int]:
     """One grid run; returns (result digest, elapsed seconds, points)."""
     started = time.perf_counter()
-    results = run_fig8(
-        loads_rps=loads, modes=MODES, setup=bench_setup(),
-        measure_ms=measure_ms, jobs=jobs,
+    points = fig8_sweep_points(
+        loads_rps=loads, modes=MODES, setup=bench_setup(), measure_ms=measure_ms
     )
+    results = run_sweep(points, jobs=jobs).raise_on_failure().values()
     elapsed = time.perf_counter() - started
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     return digest, elapsed, len(results)

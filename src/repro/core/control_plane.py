@@ -17,14 +17,13 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.core.programming import (
-    CMD_READ,
     CpaRegisterFile,
     ProtocolError,
     TABLE_PARAMETER,
     TABLE_STATISTICS,
     TABLE_TRIGGER,
 )
-from repro.core.tables import DsidTable, TableError, TableSchema, make_table
+from repro.core.tables import TableError, TableSchema, make_table
 from repro.core.triggers import TriggerOp, TriggerRule
 from repro.sim.engine import Engine, PS_PER_MS
 

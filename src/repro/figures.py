@@ -29,6 +29,9 @@ from repro.system.experiments import (
     QueueingResult,
     fig8_sweep_points,
     fig11_sweep_points,
+    run_fig7,
+    run_fig9,
+    run_fig10,
 )
 
 # Options map a subcommand's flag names (``--phase-ms`` -> ``phase_ms``)
@@ -58,12 +61,12 @@ class Figure:
         return self.points(options, first_index) if self.points else []
 
 
-def _one_point(builder: str, *params: str) -> Points:
-    """A single point of ``builder`` whose params are the named options."""
+def _one_point(run: Callable, label: str, *params: str) -> Points:
+    """A single point of ``run`` whose params are the named options."""
     def points(options: dict, first_index: int) -> list[SweepPoint]:
         return [SweepPoint(
-            index=first_index, builder=builder,
-            params={name: options[name] for name in params}, label=builder,
+            index=first_index, run=run,
+            params={name: options[name] for name in params}, label=label,
         )]
     return points
 
@@ -173,7 +176,8 @@ FIGURES: tuple[Figure, ...] = (
            merge=lambda _values: TABLE2.describe(), render=render_table2),
     Figure("fig7", "dynamic partitioning timeline",
            flags=(("--phase-ms", {"type": float, "default": 1.0}),),
-           points=_one_point("fig7", "phase_ms"), merge=_only, render=render_fig7),
+           points=_one_point(run_fig7, "fig7", "phase_ms"), merge=_only,
+           render=render_fig7),
     Figure("fig8", "tail latency vs load",
            flags=(("--loads", {"type": str, "default": "",
                                "help": "comma-separated RPS values"}),
@@ -182,11 +186,12 @@ FIGURES: tuple[Figure, ...] = (
     Figure("fig9", "miss-rate trigger timeline",
            flags=(("--rps", {"type": float, "default": 300_000}),
                   ("--total-ms", {"type": float, "default": 5.0})),
-           points=_one_point("fig9", "rps", "total_ms"), merge=_only,
+           points=_one_point(run_fig9, "fig9", "rps", "total_ms"), merge=_only,
            render=render_fig9),
     Figure("fig10", "disk bandwidth isolation",
            flags=(("--phase-ms", {"type": float, "default": 160.0}),),
-           points=_one_point("fig10", "phase_ms"), merge=_only, render=render_fig10),
+           points=_one_point(run_fig10, "fig10", "phase_ms"), merge=_only,
+           render=render_fig10),
     Figure("fig11", "memory queueing delay",
            flags=(("--inject", {"type": float, "default": 0.75,
                                 "help": "fraction of measured saturation bandwidth"}),

@@ -21,22 +21,23 @@ That makes a sweep embarrassingly parallel, provided two contracts hold:
    retried in the parent -- a hang would stall the whole sweep with no
    way to preempt it.
 
-Points travel as picklable specs (:class:`SweepPoint`: builder name +
-params + seed), resolved in the worker via :mod:`repro.runner.registry`.
-Scheduling is chunked: points are split into contiguous chunks (default
-~4 chunks per worker) so pool IPC amortizes over many short points.
+Points travel as picklable specs (:class:`SweepPoint`: a module-level
+run function + its keyword params + a display label); pickle sends the
+function by qualified name, and the worker imports it. Scheduling is
+chunked: points are split into contiguous chunks (~4 chunks per worker)
+so pool IPC amortizes over many short points.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.runner.registry import resolve_builder
 from repro.telemetry import Telemetry
 
 
@@ -68,20 +69,32 @@ class TelemetryConfig:
 class SweepPoint:
     """One independent job of an experiment grid (picklable spec).
 
-    ``seed`` is the point's *explicit* workload seed: every RNG the
-    point's builder creates must derive from it (or from other spec
-    fields), never from global or run-order state, so the point produces
-    the same result serially, in any worker, and in any order.
+    The point runs ``run(**params, telemetry=hub)``. ``run`` must be a
+    module-level function, so pickle can send it to a worker by name;
+    ``params`` carries everything the point needs, its seed included:
+    every RNG ``run`` creates must derive from them, never from global
+    or run-order state, so the point produces the same result serially,
+    in any worker, and in any order.
     """
 
     index: int
-    builder: str
+    run: Callable[..., Any]
     params: dict
-    seed: int = 0
     label: str = ""
 
+    def __post_init__(self) -> None:
+        # A lambda or nested def would run at jobs=1 and then fail to
+        # reach a worker; reject it here so every jobs value agrees.
+        try:
+            pickle.dumps(self.run)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                f"sweep point #{self.index}: run function {self.run!r} "
+                f"does not pickle; use a module-level def ({exc})"
+            ) from None
+
     def display_label(self) -> str:
-        return self.label or f"{self.builder}[{self.index}]"
+        return self.label or f"{self.run.__name__}[{self.index}]"
 
 
 @dataclass
@@ -155,11 +168,10 @@ def _execute_point(
     started = time.perf_counter()
     label = point.display_label()
     try:
-        builder = resolve_builder(point.builder)
         telemetry = tconf.build() if tconf is not None else None
         if telemetry is not None:
             telemetry.begin_run(label)
-        value = builder(point, telemetry)
+        value = point.run(**point.params, telemetry=telemetry)
         return PointResult(
             index=point.index,
             label=label,
@@ -207,11 +219,9 @@ def run_sweep(
     points: Sequence[SweepPoint],
     jobs: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
-    chunk_size: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     progress: bool = False,
-    on_result: Optional[Callable[[PointResult], None]] = None,
 ) -> SweepResult:
     """Execute ``points`` and return results merged by point index.
 
@@ -220,8 +230,8 @@ def run_sweep(
     a per-point budget; a chunk gets ``timeout_s * len(chunk)`` and its
     uncollected points are marked timed out when it expires. ``retries``
     failed (non-timed-out) points are re-run in the parent process.
-    ``on_result`` is invoked once per point in collection order (chunk
-    submission order -- deterministic, not completion order).
+    ``progress`` prints one stderr line per point in collection order
+    (chunk submission order -- deterministic, not completion order).
     """
     ordered = _validate_points(points)
     if jobs is None:
@@ -243,8 +253,6 @@ def run_sweep(
                 f"({pr.duration_s:.1f}s)",
                 file=sys.stderr,
             )
-        if on_result is not None:
-            on_result(pr)
 
     results: dict[int, PointResult] = {}
     if jobs == 1:
@@ -253,7 +261,7 @@ def run_sweep(
             results[point.index] = pr
             note(pr)
     else:
-        for pr in _pool_pass(ordered, jobs, tconf, chunk_size, timeout_s):
+        for pr in _pool_pass(ordered, jobs, tconf, timeout_s):
             results[pr.index] = pr
             note(pr)
 
@@ -292,7 +300,6 @@ def _pool_pass(
     ordered: list[SweepPoint],
     jobs: int,
     tconf: Optional[TelemetryConfig],
-    chunk_size: Optional[int],
     timeout_s: Optional[float],
 ):
     """Fan chunks out over a process pool; yield one result per point.
@@ -305,8 +312,7 @@ def _pool_pass(
     from concurrent.futures import TimeoutError as FuturesTimeoutError
     from concurrent.futures.process import BrokenProcessPool
 
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(ordered) // (jobs * 4)))
+    chunk_size = max(1, -(-len(ordered) // (jobs * 4)))
     chunks = [
         ordered[i:i + chunk_size] for i in range(0, len(ordered), chunk_size)
     ]

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.dram.controller import MemoryController
 from repro.dram.control_plane import MemoryControlPlane
 from repro.prm.rules import partition_llc_action
+from repro.runner.sweep import SweepPoint
 from repro.sim.clock import ClockDomain, DRAM_CLOCK_PS
 from repro.sim.engine import Engine, PS_PER_MS
 from repro.sim.packet import MemoryPacket
@@ -96,16 +97,24 @@ class ColocationResult:
 
 def _build_colocated_server(
     setup: ColocationSetup, mode: str, rps: float, telemetry=None,
-    seed: Optional[int] = None,
+    seed: Optional[int] = None, rng_name: Optional[str] = None,
+    warmup_ms: Optional[float] = None, stream_delay_ms: float = 0.0,
 ) -> tuple[PardServer, MemcachedServer, int]:
-    """Create the server, LDoms and workloads for one Fig. 8/9 run."""
+    """Create the server, LDoms and workloads for one Fig. 8/9 run.
+
+    ``seed``, ``rng_name`` and ``warmup_ms`` default to ``setup.seed``,
+    ``"{mode}-{rps}"`` and ``setup.warmup_ms``; the STREAM LDoms start
+    ``stream_delay_ms`` after launch.
+    """
     if mode not in ("solo", "shared", "trigger"):
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None:
         seed = setup.seed
+    if warmup_ms is None:
+        warmup_ms = setup.warmup_ms
     server = PardServer(setup.config(), telemetry=telemetry)
     firmware = server.firmware
-    rng = DeterministicRng(seed, name=f"{mode}-{rps:g}")
+    rng = DeterministicRng(seed, name=rng_name or f"{mode}-{rps:g}")
     mc_ldom = firmware.create_ldom(
         "memcached", core_ids=(0,), memory_bytes=setup.ldom_memory_bytes,
         priority=setup.mc_priority,
@@ -118,7 +127,7 @@ def _build_colocated_server(
         mlp=setup.mc_mlp,
         compute_cycles_per_batch=setup.mc_compute_cycles,
         zipf_alpha=setup.mc_zipf_alpha,
-        warmup_ps=int(setup.warmup_ms * PS_PER_MS),
+        warmup_ps=int(warmup_ms * PS_PER_MS),
         rng=rng.child("memcached"),
         telemetry=telemetry,
         ds_id=mc_ldom.ds_id,
@@ -140,6 +149,9 @@ def _build_colocated_server(
     server.start()
     firmware.launch_ldom("memcached", {0: memcached})
     if mode != "solo":
+        delay_cycles = int(
+            stream_delay_ms * PS_PER_MS / server.config.cpu_period_ps
+        )
         for i in range(1, server.config.num_cores):
             firmware.create_ldom(
                 f"stream{i}", core_ids=(i,), memory_bytes=setup.ldom_memory_bytes
@@ -148,6 +160,7 @@ def _build_colocated_server(
                 array_bytes=setup.stream_array_bytes,
                 mlp=setup.stream_mlp,
                 compute_cycles_per_batch=setup.stream_compute_cycles,
+                start_delay_cycles=delay_cycles,
             )
             firmware.launch_ldom(f"stream{i}", {i: stream})
     return server, memcached, mc_ldom.ds_id
@@ -201,58 +214,25 @@ def fig8_sweep_points(
     setup: Optional[ColocationSetup] = None,
     measure_ms: float = 2.5,
     first_index: int = 0,
-) -> list:
-    """The Fig. 8 mode x load grid as picklable sweep points."""
-    from dataclasses import asdict
+) -> list[SweepPoint]:
+    """Fig. 8: tail response time vs offered load, as picklable points.
 
-    from repro.runner.sweep import SweepPoint
-
+    One :func:`run_colocation_point` per mode x load, in grid order. The
+    default loads correspond to the paper's 10 / 15 / 20 / 22.5 KRPS
+    x-axis points under the :data:`PAPER_KRPS_SCALE` mapping.
+    """
     setup = setup or ColocationSetup()
     loads = loads_rps or FIG8_DEFAULT_LOADS
-    points = []
-    for i, (mode, rps) in enumerate(
-        (m, r) for m in modes for r in loads
-    ):
-        points.append(SweepPoint(
+    return [
+        SweepPoint(
             index=first_index + i,
-            builder="colocation_point",
-            params={
-                "mode": mode,
-                "rps": rps,
-                "setup": asdict(setup),
-                "measure_ms": measure_ms,
-            },
-            seed=setup.seed,
+            run=run_colocation_point,
+            params={"mode": mode, "rps": rps, "setup": setup,
+                    "measure_ms": measure_ms},
             label=f"{mode}@{rps:g}rps",
-        ))
-    return points
-
-
-def run_fig8(
-    loads_rps: Optional[list[float]] = None,
-    modes: tuple[str, ...] = ("solo", "shared", "trigger"),
-    setup: Optional[ColocationSetup] = None,
-    measure_ms: float = 2.5,
-    telemetry=None,
-    jobs: int = 1,
-) -> list[ColocationResult]:
-    """Fig. 8: tail response time vs offered load, for all three modes.
-
-    The default loads correspond to the paper's 10 / 15 / 20 / 22.5 KRPS
-    x-axis points under the :data:`PAPER_KRPS_SCALE` mapping. The grid
-    runs through the sweep runner: ``jobs=1`` executes the points
-    serially in this process, ``jobs=N`` fans them out over N worker
-    processes -- the returned list (and any merged telemetry) is
-    byte-identical either way, in grid order.
-    """
-    from repro.runner.sweep import run_sweep
-
-    points = fig8_sweep_points(
-        loads_rps=loads_rps, modes=modes, setup=setup, measure_ms=measure_ms
-    )
-    sweep = run_sweep(points, jobs=jobs, telemetry=telemetry)
-    sweep.raise_on_failure()
-    return sweep.values()
+        )
+        for i, (mode, rps) in enumerate((m, r) for m in modes for r in loads)
+    ]
 
 
 @dataclass
@@ -281,53 +261,15 @@ def run_fig9(
     miss rate crosses the threshold and the firmware repartitions.
     """
     setup = setup or ColocationSetup()
-    config = setup.config()
     if telemetry is not None:
         telemetry.begin_run(f"fig9@{rps:g}rps")
-    server = PardServer(config, telemetry=telemetry)
+    server, _memcached, ds_id = _build_colocated_server(
+        setup, "trigger", rps, telemetry=telemetry, rng_name="fig9",
+        warmup_ms=0.0, stream_delay_ms=stream_delay_ms,
+    )
     firmware = server.firmware
-    mc_ldom = firmware.create_ldom(
-        "memcached", (0,), setup.ldom_memory_bytes, priority=setup.mc_priority
-    )
-    memcached = MemcachedServer(
-        server.engine, rps=rps,
-        working_set_bytes=setup.mc_working_set_bytes,
-        loads_per_request=setup.mc_loads_per_request,
-        mlp=setup.mc_mlp,
-        compute_cycles_per_batch=setup.mc_compute_cycles,
-        zipf_alpha=setup.mc_zipf_alpha,
-        warmup_ps=0,
-        rng=DeterministicRng(setup.seed, "fig9").child("memcached"),
-        telemetry=telemetry,
-        ds_id=mc_ldom.ds_id,
-    )
-    firmware.register_script(
-        "/cpa0_ldom1_t0.sh",
-        partition_llc_action(num_ways=config.llc_ways, share=setup.partition_share),
-    )
-    firmware.sh(
-        f"pardtrigger /dev/cpa0 -ldom={mc_ldom.ds_id} -action=0 "
-        f"-stats=miss_rate -cond=gt,{setup.trigger_threshold_pct}"
-    )
-    firmware.sh(
-        f"echo /cpa0_ldom1_t0.sh > /sys/cpa/cpa0/ldoms/ldom{mc_ldom.ds_id}/triggers/0"
-    )
-    server.start()
-    firmware.launch_ldom("memcached", {0: memcached})
-    delay_cycles = int(stream_delay_ms * PS_PER_MS / config.cpu_period_ps)
-    for i in range(1, config.num_cores):
-        firmware.create_ldom(f"stream{i}", (i,), setup.ldom_memory_bytes)
-        firmware.launch_ldom(
-            f"stream{i}",
-            {i: Stream(
-                array_bytes=setup.stream_array_bytes,
-                mlp=setup.stream_mlp,
-                compute_cycles_per_batch=setup.stream_compute_cycles,
-                start_delay_cycles=delay_cycles,
-            )},
-        )
     timeline = MissRateTimeline(stream_start_ms=stream_delay_ms)
-    mc_path = f"/sys/cpa/cpa0/ldoms/ldom{mc_ldom.ds_id}"
+    mc_path = f"/sys/cpa/cpa0/ldoms/ldom{ds_id}"
     steps = int(total_ms / sample_ms)
     for _ in range(steps):
         server.run_ms(sample_ms)
@@ -660,52 +602,7 @@ def fig11_sweep_points(
     row_hit_fraction: float = 0.5,
     hp_row_buffer: bool = False,
     first_index: int = 0,
-) -> list:
-    """Fig. 11's two controller configurations as picklable sweep points.
-
-    Runs the saturation probe here, in the caller's process: both points
-    inject at ``inject_rate`` of the measured saturation rate.
-    """
-    if not 0 < inject_rate < 1:
-        raise ValueError("inject_rate must be a fraction of peak bandwidth")
-    if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
-    from repro.runner.sweep import SweepPoint
-
-    saturation = measure_saturation_rate(
-        num_requests=min(num_requests, 4000), seed=seed,
-        row_hit_fraction=row_hit_fraction,
-    )
-    common = {
-        "rate_req_per_cycle": inject_rate * saturation,
-        "num_requests": num_requests,
-        "row_hit_fraction": row_hit_fraction,
-    }
-    return [
-        SweepPoint(
-            index=first_index, builder="fig11_controller",
-            params={**common, "with_control_plane": False,
-                    "hp_row_buffer": False},
-            seed=seed, label="fig11-baseline",
-        ),
-        SweepPoint(
-            index=first_index + 1, builder="fig11_controller",
-            params={**common, "with_control_plane": True,
-                    "hp_row_buffer": hp_row_buffer},
-            seed=seed, label="fig11-pard",
-        ),
-    ]
-
-
-def run_fig11(
-    inject_rate: float = 0.75,
-    num_requests: int = 6000,
-    seed: int = 7,
-    row_hit_fraction: float = 0.5,
-    hp_row_buffer: bool = False,
-    telemetry=None,
-    jobs: int = 1,
-) -> QueueingResult:
+) -> list[SweepPoint]:
     """Fig. 11: queueing delay CDF at a given bandwidth utilization.
 
     A synthetic injector (the FPGA microbenchmark's role) drives the
@@ -713,18 +610,40 @@ def run_fig11(
     bandwidth with half high-priority, half low-priority requests,
     against both the baseline controller (no control plane: one queue)
     and the PARD controller (priority queues; optionally also the extra
-    high-priority row buffer).
+    high-priority row buffer). The saturation probe runs here, in the
+    caller's process; the two controller configurations are the
+    returned points, merged by :meth:`QueueingResult.from_points`.
 
     The default utilization of 0.75 is the operating point where this
     model's baseline mean queueing delay matches the paper's reported
     15.2 cycles; the paper quotes its own inject rate as 0.44 of its
     RTL's peak (see EXPERIMENTS.md for the calibration discussion).
     """
-    from repro.runner.sweep import run_sweep
-
-    points = fig11_sweep_points(
-        inject_rate, num_requests, seed, row_hit_fraction, hp_row_buffer
+    if not 0 < inject_rate < 1:
+        raise ValueError("inject_rate must be a fraction of peak bandwidth")
+    if num_requests <= 0:
+        raise ValueError("num_requests must be positive")
+    saturation = measure_saturation_rate(
+        num_requests=min(num_requests, 4000), seed=seed,
+        row_hit_fraction=row_hit_fraction,
     )
-    sweep = run_sweep(points, jobs=jobs, telemetry=telemetry)
-    sweep.raise_on_failure()
-    return QueueingResult.from_points(*sweep.values())
+    common = {
+        "rate_req_per_cycle": inject_rate * saturation,
+        "num_requests": num_requests,
+        "seed": seed,
+        "row_hit_fraction": row_hit_fraction,
+    }
+    return [
+        SweepPoint(
+            index=first_index, run=run_fig11_controller_point,
+            params={**common, "with_control_plane": False,
+                    "hp_row_buffer": False},
+            label="fig11-baseline",
+        ),
+        SweepPoint(
+            index=first_index + 1, run=run_fig11_controller_point,
+            params={**common, "with_control_plane": True,
+                    "hp_row_buffer": hp_row_buffer},
+            label="fig11-pard",
+        ),
+    ]

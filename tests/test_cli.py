@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
+import pickle
+
 import pytest
 
 import repro.cli as cli
 from repro.cli import build_parser, main
 from repro.figures import FIGURES, Figure
-from repro.runner import SweepPoint, builder_names
+from repro.runner import SweepPoint
+
+
+def run_broken(telemetry=None):
+    raise RuntimeError("broken point")
 
 
 class TestParser:
@@ -52,26 +58,26 @@ class TestCommands:
 
 
 class TestFigureTable:
-    def test_default_points_name_registered_builders(self):
-        names = set(builder_names())
-        assert not {"fig8", "fig11"} & names  # whole-figure builders are gone
+    def test_default_points_pickle(self):
+        # Every default point must reach a pool worker intact: its run
+        # function by name, its params (setups included) by value.
         for figure in FIGURES:
             for point in figure.sweep_points(figure.defaults()):
-                assert point.builder in names, (figure.name, point.builder)
+                assert pickle.loads(pickle.dumps(point)) == point, figure.name
 
     def test_all_keeps_going_past_failed_figures(self, capsys, monkeypatch):
         def unbuildable(_options, _first_index):
             raise RuntimeError("no points")
 
-        def unknown_builder(_options, first_index):
-            return [SweepPoint(index=first_index, builder="no_such_builder",
+        def broken_point(_options, first_index):
+            return [SweepPoint(index=first_index, run=run_broken,
                                params={}, label="lost")]
 
         table2, fig12 = FIGURES[0], FIGURES[-1]
         monkeypatch.setattr(cli, "FIGURES", (
             table2,
             Figure("unbuildable", "", merge=list, render=print, points=unbuildable),
-            Figure("pointless", "", merge=list, render=print, points=unknown_builder),
+            Figure("pointless", "", merge=list, render=print, points=broken_point),
             fig12,
         ))
         assert main(["all", "--jobs", "1"]) == 1

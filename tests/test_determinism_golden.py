@@ -26,6 +26,7 @@ import hashlib
 
 import pytest
 
+from repro.runner import run_sweep
 from repro.sim.engine import Engine, HeapqEngine
 from repro.sim.rng import DeterministicRng
 from repro.system.config import TABLE2
@@ -34,7 +35,6 @@ from repro.system.experiments import (
     fig8_sweep_points,
     measure_saturation_rate,
     run_colocation_point,
-    run_fig8,
     run_fig11_controller_point,
 )
 from repro.system.server import PardServer
@@ -188,10 +188,11 @@ TINY = ColocationSetup(
 def fig8_digest(jobs: int, modes, loads, measure_ms: float) -> str:
     """Digest of a fig8 grid's results plus its merged telemetry."""
     hub = Telemetry(span_sample=1, snapshot_period_ms=0.25)
-    results = run_fig8(
-        loads_rps=list(loads), modes=modes, setup=TINY,
-        measure_ms=measure_ms, telemetry=hub, jobs=jobs,
+    points = fig8_sweep_points(
+        loads_rps=list(loads), modes=modes, setup=TINY, measure_ms=measure_ms,
     )
+    sweep = run_sweep(points, jobs=jobs, telemetry=hub).raise_on_failure()
+    results = sweep.values()
     state = (
         repr(results),
         repr(hub.registry.dump()),
@@ -218,11 +219,12 @@ def test_parallel_sweep_matches_serial_full_grid():
 
 
 def test_fig8_sweep_points_specs_are_stable():
-    """Point specs carry everything: indexes dense, seeds explicit."""
+    """Point specs carry everything: indexes dense, the setup (and so
+    its seed) travelling as the dataclass itself."""
     points = fig8_sweep_points(
         loads_rps=[150_000, 250_000], modes=("solo", "shared"), setup=TINY,
         measure_ms=0.5, first_index=10,
     )
     assert [p.index for p in points] == [10, 11, 12, 13]
-    assert all(p.seed == TINY.seed for p in points)
-    assert points[0].params["setup"]["scale"] == 32
+    assert all(p.run is run_colocation_point for p in points)
+    assert all(p.params["setup"] == TINY for p in points)

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.runner import run_sweep
 from repro.system.experiments import (
     ColocationSetup,
     PAPER_KRPS_SCALE,
+    QueueingResult,
+    fig11_sweep_points,
     measure_saturation_rate,
     run_colocation_point,
     run_fig9,
     run_fig10,
-    run_fig11,
 )
 
 
@@ -96,7 +98,8 @@ class TestFig11Queueing:
         assert 0.01 < rate < 0.25  # below the theoretical bus peak
 
     def test_priority_redistributes_waiting(self):
-        result = run_fig11(num_requests=2500)
+        sweep = run_sweep(fig11_sweep_points(num_requests=2500), jobs=1)
+        result = QueueingResult.from_points(*sweep.raise_on_failure().values())
         assert result.high_priority_mean_cycles < result.baseline_mean_cycles
         assert result.high_priority_speedup > 1.5
         # CDFs are well-formed and ordered: the high-priority curve
@@ -107,10 +110,10 @@ class TestFig11Queueing:
 
     def test_invalid_inject_rate(self):
         with pytest.raises(ValueError):
-            run_fig11(inject_rate=1.5)
+            fig11_sweep_points(inject_rate=1.5)
 
     def test_zero_requests_rejected(self):
         with pytest.raises(ValueError):
-            run_fig11(num_requests=0)
+            fig11_sweep_points(num_requests=0)
         with pytest.raises(ValueError):
             measure_saturation_rate(num_requests=0)

@@ -1,11 +1,10 @@
 """The sweep runner: deterministic merge, failure handling, retries.
 
-The test builders below are registered at module import time; worker
-processes inherit them through fork, so the pool paths exercise the
-same registry the stock builders use. The colocation tests double as
-the regression suite for the point-seed contract: a point's result
-depends only on its spec (builder + params + seed), never on what ran
-before it in the process.
+The test run functions below are module-level, so pickle sends them to
+worker processes by name, exactly as it sends the experiment drivers.
+The colocation tests double as the regression suite for the point-seed
+contract: a point's result depends only on its spec (run function +
+params, seed included), never on what ran before it in the process.
 """
 
 import multiprocessing
@@ -18,69 +17,87 @@ from repro.runner import (
     SweepError,
     SweepPoint,
     SweepResult,
-    register_builder,
     run_sweep,
 )
 from repro.system.experiments import ColocationSetup, run_colocation_point
 from repro.telemetry import Telemetry
 
 
-@register_builder("test_square")
-def _build_square(point, telemetry):
+def run_square(index, x, seed=0, telemetry=None):
     if telemetry is not None:
         telemetry.registry.counter("test.points").add(1)
-        telemetry.registry.gauge("test.last_index").set(point.index)
+        telemetry.registry.gauge("test.last_index").set(index)
         telemetry.registry.histogram(
             "test.x", start=1.0, growth=2.0, count=8
-        ).record(point.params["x"])
+        ).record(x)
         span = telemetry.spans.maybe_start(
-            ds_id=0, packet_id=point.index, kind="test"
+            ds_id=0, packet_id=index, kind="test"
         )
         if span is not None:
             span.hop("begin", 0)
-            span.hop("end", 10 * (point.index + 1))
+            span.hop("end", 10 * (index + 1))
             telemetry.spans.finish(span)
-        telemetry.snapshot(t_ps=1_000 * point.index)
-    return point.params["x"] ** 2 + point.seed
+        telemetry.snapshot(t_ps=1_000 * index)
+    return x ** 2 + seed
 
 
-@register_builder("test_fail_odd")
-def _build_fail_odd(point, telemetry):
-    if point.index % 2 == 1:
-        raise ValueError(f"boom at point {point.index}")
-    return point.index
+def run_fail_odd(index, telemetry=None):
+    if index % 2 == 1:
+        raise ValueError(f"boom at point {index}")
+    return index
 
 
-@register_builder("test_fail_in_worker")
-def _build_fail_in_worker(point, telemetry):
+def run_fail_in_worker(telemetry=None):
     # Fails only inside a pool worker; a parent-process retry succeeds.
     if multiprocessing.parent_process() is not None:
         raise RuntimeError("worker-only failure")
     return "parent-ok"
 
 
-@register_builder("test_sleep")
-def _build_sleep(point, telemetry):
-    time.sleep(point.params["s"])
+def run_sleep(s, telemetry=None):
+    time.sleep(s)
     return "slept"
 
 
 def square_points(n, seed=0):
     return [
-        SweepPoint(index=i, builder="test_square", params={"x": i}, seed=seed)
+        SweepPoint(index=i, run=run_square,
+                   params={"index": i, "x": i, "seed": seed})
+        for i in range(n)
+    ]
+
+
+def fail_odd_points(n):
+    return [
+        SweepPoint(index=i, run=run_fail_odd, params={"index": i})
         for i in range(n)
     ]
 
 
 def test_sweep_point_pickle_round_trip():
     point = SweepPoint(
-        index=3, builder="test_square", params={"x": 3, "nested": {"a": [1]}},
-        seed=11, label="x=3",
+        index=3, run=run_square,
+        params={"index": 3, "x": 3, "seed": 11, "nested": {"a": [1]}},
+        label="x=3",
     )
     clone = pickle.loads(pickle.dumps(point))
     assert clone == point
+    assert clone.run is run_square
     assert clone.display_label() == "x=3"
-    assert SweepPoint(0, "test_square", {}).display_label() == "test_square[0]"
+    assert SweepPoint(0, run_square, {}).display_label() == "run_square[0]"
+
+
+def test_unpicklable_run_function_is_rejected():
+    def nested(telemetry=None):
+        return 1
+
+    # Both would run at jobs=1 and then fail to reach a pool worker.
+    with pytest.raises(ValueError, match="does not pickle"):
+        # simlint: disable=RUN001 -- the rejection is what this test checks
+        SweepPoint(0, lambda telemetry=None: 1, {})
+    with pytest.raises(ValueError, match="does not pickle"):
+        # simlint: disable=RUN001 -- the rejection is what this test checks
+        SweepPoint(0, nested, {})
 
 
 def test_serial_and_parallel_agree():
@@ -91,17 +108,14 @@ def test_serial_and_parallel_agree():
     assert [p.index for p in pooled.points] == list(range(9))
 
 
-def test_collection_order_is_index_order():
-    seen = []
-    run_sweep(square_points(8), jobs=2, on_result=lambda pr: seen.append(pr.index))
-    assert seen == list(range(8))
+def test_collection_order_is_index_order(capsys):
+    run_sweep(square_points(8), jobs=2, progress=True)
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[2] for line in lines] == [f"#{i}" for i in range(8)]
 
 
 def test_failures_are_captured_and_survivors_merge():
-    points = [
-        SweepPoint(index=i, builder="test_fail_odd", params={}) for i in range(5)
-    ]
-    sweep = run_sweep(points, jobs=2, retries=0)
+    sweep = run_sweep(fail_odd_points(5), jobs=2, retries=0)
     assert not sweep.ok
     assert sweep.values() == [0, 2, 4]
     failed = sweep.failed
@@ -118,7 +132,7 @@ def test_failures_are_captured_and_survivors_merge():
 
 def test_failed_point_retried_once_in_parent():
     points = [
-        SweepPoint(index=i, builder="test_fail_in_worker", params={})
+        SweepPoint(index=i, run=run_fail_in_worker, params={})
         for i in range(2)
     ]
     sweep = run_sweep(points, jobs=2)
@@ -129,18 +143,16 @@ def test_failed_point_retried_once_in_parent():
 
 
 def test_retry_failure_reports_both_attempts():
-    points = [SweepPoint(index=0, builder="test_fail_odd", params={}),
-              SweepPoint(index=1, builder="test_fail_odd", params={})]
-    sweep = run_sweep(points, jobs=1, retries=1)
+    sweep = run_sweep(fail_odd_points(2), jobs=1, retries=1)
     pr = sweep.points[1]
     assert not pr.ok and pr.retried and pr.attempts == 2
     assert "(earlier attempt failed with)" in pr.error
 
 
 def test_timeout_marks_point_and_skips_retry():
-    points = [SweepPoint(index=0, builder="test_sleep", params={"s": 2.0})]
+    points = [SweepPoint(index=0, run=run_sleep, params={"s": 2.0})]
     started = time.perf_counter()
-    sweep = run_sweep(points, jobs=2, chunk_size=1, timeout_s=0.3)
+    sweep = run_sweep(points, jobs=2, timeout_s=0.3)
     assert time.perf_counter() - started < 1.5  # did not wait out the sleep
     pr = sweep.points[0]
     assert not pr.ok and pr.timed_out
@@ -149,20 +161,14 @@ def test_timeout_marks_point_and_skips_retry():
 
 
 def test_point_validation():
-    dup = [SweepPoint(0, "test_square", {"x": 1}),
-           SweepPoint(0, "test_square", {"x": 2})]
+    dup = [SweepPoint(0, run_square, {"index": 0, "x": 1}),
+           SweepPoint(0, run_square, {"index": 0, "x": 2})]
     with pytest.raises(ValueError, match="duplicate sweep point index"):
         run_sweep(dup, jobs=1)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_sweep(square_points(2), jobs=0)
     empty = run_sweep([], jobs=4)
     assert isinstance(empty, SweepResult) and empty.points == []
-
-
-def test_unknown_builder_fails_the_point_not_the_sweep():
-    sweep = run_sweep([SweepPoint(0, "no_such_builder", {})], jobs=1, retries=0)
-    assert not sweep.ok
-    assert "no_such_builder" in sweep.points[0].error
 
 
 def test_telemetry_merge_identical_serial_and_parallel():
